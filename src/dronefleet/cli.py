@@ -54,9 +54,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg = replace(cfg, horizon_slots=args.horizon)
         if cfg.warmup_slots >= cfg.horizon_slots:
             cfg = replace(cfg, warmup_slots=0)
-    if getattr(args, "n_uavs", None):
-        if isinstance(args.n_uavs, int):
-            cfg = replace(cfg, total_uavs=args.n_uavs, initial_allocation="static")
+    if getattr(args, "n_uavs", None) is not None:
+        cfg = cfg.with_fleet(args.n_uavs)
     return cfg
 
 
@@ -200,8 +199,8 @@ def cmd_sweep(args) -> int:
 
     d = cfg.district.num_pdcs
     rows = []
-    for total in args.n_uavs:
-        run_cfg = replace(cfg, total_uavs=total, initial_allocation="static")
+    for total in args.fleet_sizes:
+        run_cfg = cfg.with_fleet(total)
         controller = run_cfg.build_controller(nets)
         report = _run_report(run_cfg, controller, seed)
         rows.append((total, report))
@@ -217,7 +216,7 @@ def cmd_sweep(args) -> int:
                 [total, repr(report.p_max), repr(report.n_mean)]
                 + [repr(v) for v in report.violation]
             )
-    print(f"swept N over {list(args.n_uavs)}; table under {out}")
+    print(f"swept N over {list(args.fleet_sizes)}; table under {out}")
     return 0
 
 
@@ -290,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--horizon", type=int, help="override horizon in slots")
     p.add_argument(
-        "--n-uavs", type=int, nargs="+", required=True, help="fleet sizes to evaluate"
+        "--n-uavs",
+        dest="fleet_sizes",
+        type=int,
+        nargs="+",
+        required=True,
+        help="fleet sizes to evaluate",
     )
     p.set_defaults(func=cmd_sweep)
 

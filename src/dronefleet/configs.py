@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .arrivals import (
@@ -49,7 +49,6 @@ class ExperimentConfig:
     horizon_slots: int
     warmup_slots: int
     ql_update_multiple: int
-    total_uavs: int
     initial_allocation: object = "static"  # "static" or explicit per-PDC counts
     raw: dict = field(default_factory=dict)
 
@@ -58,8 +57,15 @@ class ExperimentConfig:
 
     def initial_allocation_counts(self) -> list:
         if self.initial_allocation == "static":
-            return static_allocation(self.region_weights(), self.total_uavs)
+            return static_allocation(self.region_weights(), self.district.total_uavs)
         return list(self.initial_allocation)
+
+    def with_fleet(self, total_uavs: int) -> "ExperimentConfig":
+        """The same experiment with a fleet of `total_uavs`, split statically."""
+        if total_uavs < 1:
+            raise ConfigError("total_uavs must be >= 1")
+        district = replace(self.district, total_uavs=total_uavs)
+        return replace(self, district=district, initial_allocation="static")
 
     def make_processes(self) -> list:
         """Fresh arrival process per PDC (the modulated one carries state)."""
@@ -100,7 +106,7 @@ class ExperimentConfig:
         if self.controller == "threshold":
             return ThresholdController(self.queue_bounds, self.delta)
         if self.controller == "ql":
-            return QlController(self.total_uavs, self.ql_update_multiple)
+            return QlController(self.district.total_uavs, self.ql_update_multiple)
         if nets is None:
             raise ConfigError("the rl controller needs trained checkpoints")
         return GreedyPolicyController(nets, self.delta)
@@ -108,7 +114,7 @@ class ExperimentConfig:
     def resolved_dict(self) -> dict:
         doc = copy.deepcopy(self.raw)
         doc["district"] = self.district_source
-        doc["total_uavs"] = self.total_uavs
+        doc["total_uavs"] = self.district.total_uavs
         doc["initial_allocation"] = self.initial_allocation_counts()
         return doc
 
@@ -124,7 +130,7 @@ class ExperimentConfig:
             },
             "queue_bounds": list(self.queue_bounds),
             "delta": self.delta,
-            "total_uavs": self.total_uavs,
+            "total_uavs": self.district.total_uavs,
             "episodes": self.train.episodes,
             "max_steps_per_episode": self.train.max_steps_per_episode,
         }
@@ -215,9 +221,9 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
     if any(b <= 0 for b in bounds):
         raise ConfigError("queue bounds must be positive")
 
-    total_raw = doc.get("total_uavs")
-    total = district.total_uavs if total_raw is None else int(total_raw)
-    if total < 1:
+    if doc.get("total_uavs") is not None:
+        district = replace(district, total_uavs=int(doc["total_uavs"]))
+    if district.total_uavs < 1:
         raise ConfigError("total_uavs must be >= 1")
 
     train_doc = doc.get("train", {})
@@ -236,7 +242,7 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
         if not isinstance(alloc, list) or len(alloc) != d:
             raise ConfigError("initial_allocation must be 'static' or one count per PDC")
         alloc = [int(a) for a in alloc]
-        if any(a < 0 for a in alloc) or sum(alloc) > total:
+        if any(a < 0 for a in alloc) or sum(alloc) > district.total_uavs:
             raise ConfigError("initial_allocation out of range")
 
     seeds = doc.get("seeds", [1, 2, 3])
@@ -265,7 +271,6 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
         horizon_slots=horizon,
         warmup_slots=warmup,
         ql_update_multiple=ql_mult,
-        total_uavs=total,
         initial_allocation=alloc,
         raw=copy.deepcopy(doc),
     )

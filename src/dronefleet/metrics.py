@@ -48,11 +48,9 @@ def summarize(traces: RunTraces, queue_bounds: list[float], warmup_slots: int = 
         raise ValueError("one queue bound per PDC")
 
     violation = [violation_probability(q[i], queue_bounds[i]) for i in range(q.shape[0])]
-    wait_values = [
-        w for per_pdc in traces.waits for (arrival, w) in per_pdc if arrival >= warmup_slots
-    ]
-    if wait_values:
-        w_arr = np.asarray(wait_values, dtype=np.float64)
+    pairs = [np.asarray(per_pdc, dtype=np.int64).reshape(-1, 2) for per_pdc in traces.waits]
+    w_arr = np.concatenate([p[p[:, 0] >= warmup_slots, 1] for p in pairs]).astype(np.float64)
+    if w_arr.size:
         w_mean, w_std = float(w_arr.mean()), float(w_arr.std())
     else:
         w_mean = w_std = math.nan

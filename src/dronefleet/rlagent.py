@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 
 QUEUE_BITS = 15
 COUNT_BITS = 10
+STATE_SIZE = QUEUE_BITS + COUNT_BITS
 NUM_ACTIONS = 3
 
 
@@ -49,7 +50,7 @@ def encode_state(n: int, q: int) -> np.ndarray:
 def decode_state(encoded: np.ndarray) -> tuple[int, int]:
     """Inverse of encode_state; returns (n, q)."""
     vec = np.asarray(encoded)
-    if vec.shape != (QUEUE_BITS + COUNT_BITS,):
+    if vec.shape != (STATE_SIZE,):
         raise ValueError("bad encoded state shape")
     q = sum(1 << i for i in range(QUEUE_BITS) if vec[i] > 0.5)
     n = sum(1 << i for i in range(COUNT_BITS) if vec[QUEUE_BITS + i] > 0.5)
@@ -201,6 +202,11 @@ def load_checkpoint(path: str) -> tuple[QNetwork, int, dict]:
         (s,) for s in sizes[1:]
     ]:
         raise CheckpointError("checkpoint layer shapes do not match layer_sizes")
+    if sizes[:1] != [STATE_SIZE] or sizes[-1:] != [NUM_ACTIONS]:
+        raise CheckpointError(
+            f"checkpoint layer sizes {sizes} do not map {STATE_SIZE} state inputs "
+            f"to {NUM_ACTIONS} actions"
+        )
     return QNetwork(weights=weights, biases=biases), steps, config
 
 

@@ -17,9 +17,38 @@ from .simcore import SimState, apply_allocation_moves, init_sim, observe, step_s
 class RunTraces:
     q: np.ndarray  # queue length, shape (D, horizon)
     n: np.ndarray  # allocated UAVs, shape (D, horizon)
-    waits: list  # per PDC: (arrival_slot, wait) per dispatched package
+    waits: list  # per PDC: (arrival_slot, wait) per dispatched package, in dispatch order
     horizon_slots: int
     epoch_slots: int
+
+
+def run_epoch(
+    state: SimState, requests: list[int], rng: np.random.Generator, epoch_slots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schedule and apply the fleet moves for `requests`, then step one epoch.
+
+    Returns the epoch's per-slot queue lengths, arrival counts and dispatch
+    counts, each of shape (D, epoch_slots).
+    """
+    apply_allocation_moves(state, schedule(state, requests, rng))
+    queues = state.queues
+    q, arrivals, dispatches = [], [], []
+    for _ in range(epoch_slots):
+        arrived, dispatched = step_slot(state)
+        q.append([len(queue) for queue in queues])
+        arrivals.append(arrived)
+        dispatches.append(dispatched)
+    return tuple(np.array(rows, dtype=np.int64).T for rows in (q, arrivals, dispatches))
+
+
+def fifo_waits(arrivals: np.ndarray, dispatches: np.ndarray) -> np.ndarray:
+    """(arrival_slot, wait) rows, in dispatch order, for one FIFO queue's
+    per-slot arrival and dispatch counts."""
+    slots = np.arange(len(arrivals))
+    born = np.repeat(slots, arrivals)
+    left = np.repeat(slots, dispatches)
+    born = born[: len(left)]
+    return np.column_stack((born, left - born))
 
 
 def run_policy(
@@ -42,13 +71,15 @@ def run_policy(
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     env_ss, sched_ss = master.spawn(2)
     sched_rng = np.random.default_rng(sched_ss)
-    state = init_sim(district, processes, initial_allocation, env_ss, collect_waits=True)
+    state = init_sim(district, processes, initial_allocation, env_ss)
 
     d = district.num_pdcs
     epochs = -(-horizon_slots // epoch_slots)
     horizon = epochs * epoch_slots
     q_trace = np.zeros((d, horizon), dtype=np.int64)
     n_trace = np.zeros((d, horizon), dtype=np.int64)
+    arrival_trace = np.zeros((d, horizon), dtype=np.int64)
+    dispatch_trace = np.zeros((d, horizon), dtype=np.int64)
 
     writer = fh = None
     if trace_path is not None:
@@ -60,28 +91,26 @@ def run_policy(
         writer.writerow(header)
 
     try:
-        slot = 0
         for epoch in range(epochs):
             obs = [observe(state, pdc) for pdc in range(1, d + 1)]
             deltas = controller.decide(epoch, obs)
-            moves = schedule(state, deltas, sched_rng)
-            apply_allocation_moves(state, moves)
-            for _ in range(epoch_slots):
-                arrived, dispatched = step_slot(state)
-                for i in range(d):
-                    q_trace[i, slot] = len(state.queues[i])
-                n_trace[:, slot] = state.home_counts[1:]
-                if writer is not None:
-                    row = [slot]
-                    row += [int(q_trace[i, slot]) for i in range(d)]
-                    row += [int(n_trace[i, slot]) for i in range(d)]
-                    row += arrived + dispatched
-                    writer.writerow(row)
-                slot += 1
+            q, arrived, dispatched = run_epoch(state, deltas, sched_rng, epoch_slots)
+            # home counts change only between epochs
+            n = state.home_counts[1:, None]
+            window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
+            q_trace[:, window] = q
+            n_trace[:, window] = n
+            arrival_trace[:, window] = arrived
+            dispatch_trace[:, window] = dispatched
+            if writer is not None:
+                slots = np.arange(window.start, window.stop)[None, :]
+                block = np.concatenate((slots, q, np.broadcast_to(n, q.shape), arrived, dispatched))
+                writer.writerows(block.T.tolist())
     finally:
         if fh is not None:
             fh.close()
 
+    waits = [fifo_waits(arrival_trace[i], dispatch_trace[i]) for i in range(d)]
     return RunTraces(
-        q=q_trace, n=n_trace, waits=state.waits, horizon_slots=horizon, epoch_slots=epoch_slots
+        q=q_trace, n=n_trace, waits=waits, horizon_slots=horizon, epoch_slots=epoch_slots
     )

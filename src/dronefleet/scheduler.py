@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geography import Point, distance
-from .simcore import SimState, UavState
+from .simcore import SimState
 
 IDLE = "idle"
 RETURNING = "returning"
@@ -46,13 +46,16 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
     district = state.district
     donors: list[DonorEntry] = []
 
-    returning: list[list] = [[] for _ in range(d + 1)]
-    delivering: list[list] = [[] for _ in range(d + 1)]
-    for uav in state.fleet:
-        if uav.state == UavState.RETURNING:
-            returning[uav.home].append(uav)
-        elif uav.state == UavState.DELIVERING:
-            delivering[uav.home].append(uav)
+    # phases from the clock: delivering while t <= drop, returning while
+    # drop < t <= back; idle drones sit in state.idle
+    t = state.t
+    returning: list[list[int]] = [[] for _ in range(d + 1)]
+    delivering: list[list[int]] = [[] for _ in range(d + 1)]
+    for uid, (home, drop, back) in enumerate(zip(state.home, state.drop, state.back)):
+        if t <= drop:
+            delivering[home].append(uid)
+        elif t <= back:
+            returning[home].append(uid)
 
     mps = district.meters_per_slot
     for pdc in range(1, d + 1):
@@ -64,20 +67,19 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
             donors.append(DonorEntry(uav_id=uid, pickup=here, category=IDLE))
         need -= min(need, len(state.idle[pdc]))
         if need > 0:
-            pool = sorted(returning[pdc], key=lambda u: (-u.last_delivery_slot, u.uav_id))
-            for uav in pool[:need]:
-                donors.append(DonorEntry(uav_id=uav.uav_id, pickup=here, category=RETURNING))
+            pool = sorted(returning[pdc], key=lambda u: (-state.drop[u], u))
+            for uid in pool[:need]:
+                donors.append(DonorEntry(uav_id=uid, pickup=here, category=RETURNING))
             need -= min(need, len(pool))
         if need > 0:
-            pool = sorted(delivering[pdc], key=lambda u: (u.mission_start_slot, u.uav_id))
-            for uav in pool[:need]:
-                remaining = max(0, uav.eta_slot - state.t) * mps
+            pool = sorted(delivering[pdc], key=lambda u: (state.start[u], u))
+            for uid in pool[:need]:
                 donors.append(
                     DonorEntry(
-                        uav_id=uav.uav_id,
-                        pickup=uav.destination,
+                        uav_id=uid,
+                        pickup=state.dest[uid],
                         category=DELIVERING,
-                        approach_m=remaining,
+                        approach_m=max(0, state.drop[uid] - t) * mps,
                     )
                 )
 

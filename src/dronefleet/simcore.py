@@ -1,18 +1,22 @@
-"""Slot-based simulation of the district: queues, UAV lifecycle, dispatch.
+"""Slot-based simulation of the district: queues, drone missions, dispatch.
 
 One slot is one minute. Each step handles, in this order:
-  1. status advances for UAVs whose arrival or swap slot is due,
+  1. drones whose free slot is due turn idle,
   2. truck arrivals and destination sampling,
-  3. FCFS dispatch of idle UAVs against the local queue,
+  3. FCFS dispatch of idle drones against the local queue,
   4. the clock.
-Fleet moves decided by a controller are applied between slots via
-apply_allocation_moves. A UAV always belongs to exactly one home (0 is the
-port, 1..D the PDCs), so sum(n_d) == total fleet size at every slot.
+A mission is fixed at dispatch: the package lands at `drop`, the return leg
+ends at `back`, a one-slot battery swap follows and the drone is idle again
+at `free`. Its phase is read off the clock: delivering while t <= drop,
+returning while drop < t <= back, and locked (relocating or swapping) after
+that until `free`. Fleet moves decided by a controller are applied between
+slots via apply_allocation_moves and only rewrite `back` and `free`. A drone
+always belongs to exactly one home (0 is the port, 1..D the PDCs), so
+sum(n_d) == total fleet size at every slot.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,62 +26,28 @@ import numpy as np
 from .arrivals import ArrivalProcess
 from .geography import District, Point, distance, sample_destinations, travel_time_slots
 
-
-class UavState(enum.Enum):
-    IDLE = "idle"
-    DELIVERING = "delivering"
-    RETURNING = "returning"
-    SWAP = "swap"
-    RELOCATING = "relocating"
-
-
-@dataclass
-class Package:
-    package_id: int
-    pdc: int
-    destination: Point
-    arrival_slot: int
-    dispatch_slot: int | None = None
-    delivered_slot: int | None = None
-    # outbound PDC->destination flight in whole slots; -1 means not yet known
-    trip_slots: int = -1
-
-
-@dataclass
-class Uav:
-    uav_id: int
-    home: int
-    state: UavState = UavState.IDLE
-    destination: Point | None = None
-    eta_slot: int = 0
-    ready_slot: int = 0
-    mission_start_slot: int = -1
-    last_delivery_slot: int = -1
-    # Home already points at the new PDC; on delivery completion the UAV
-    # relocates there (with a swap) instead of returning.
-    retargeted: bool = False
-    relocate_swap: bool = False
-    package: Package | None = None
-    # cached length of the destination->home return leg; -1 forces a recompute
-    return_trip_slots: int = -1
+IDLE_FREE = -1  # `free` of a drone that is idle
 
 
 @dataclass
 class SimState:
     district: District
     processes: list[ArrivalProcess]
-    fleet: list[Uav]
-    queues: list[deque]
-    idle: list[list[int]]  # sorted UAV ids per home, index 0 is the port
+    # per drone, indexed by id: home, dispatch slot, drop slot, end of the
+    # return leg, free slot (IDLE_FREE while idle) and package destination
+    home: list[int]
+    start: list[int]
+    drop: list[int]
+    back: list[int]
+    free: list[int]
+    dest: list[Point | None]
+    queues: list[deque]  # per PDC: (trip_slots, destination) per package
+    idle: list[list[int]]  # sorted drone ids per home, index 0 is the port
     home_counts: np.ndarray
     arrival_rngs: list[np.random.Generator]
     dest_rngs: list[np.random.Generator]
     t: int = 0
-    next_package_id: int = 0
-    collect_waits: bool = False
-    # per PDC: (arrival_slot, wait) for every dispatched package
-    waits: list[list[tuple[int, int]]] = field(default_factory=list)
-    _due: dict[int, list[int]] = field(default_factory=dict)
+    due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
 
     def num_pdcs(self) -> int:
         return self.district.num_pdcs
@@ -88,7 +58,6 @@ def init_sim(
     processes: list[ArrivalProcess],
     initial_allocation: list[int],
     seed_seq: np.random.SeedSequence,
-    collect_waits: bool = False,
 ) -> SimState:
     """Fresh state at t=0 with the given per-PDC allocation, remainder at port."""
     d = district.num_pdcs
@@ -103,96 +72,39 @@ def init_sim(
     for pdc, count in enumerate(initial_allocation, start=1):
         homes.extend([pdc] * count)
     homes.extend([0] * (district.total_uavs - len(homes)))
+    n = len(homes)
 
-    fleet = [Uav(uav_id=i, home=h) for i, h in enumerate(homes)]
     idle: list[list[int]] = [[] for _ in range(d + 1)]
-    for uav in fleet:
-        idle[uav.home].append(uav.uav_id)
-    counts = np.zeros(d + 1, dtype=np.int64)
-    for uav in fleet:
-        counts[uav.home] += 1
+    for uid, home in enumerate(homes):
+        idle[home].append(uid)
+    counts = np.bincount(np.asarray(homes, dtype=np.int64), minlength=d + 1)
 
     children = seed_seq.spawn(2 * d)
     return SimState(
         district=district,
         processes=processes,
-        fleet=fleet,
+        home=homes,
+        start=[-1] * n,
+        drop=[-1] * n,
+        back=[-1] * n,
+        free=[IDLE_FREE] * n,
+        dest=[None] * n,
         queues=[deque() for _ in range(d)],
         idle=idle,
         home_counts=counts,
         arrival_rngs=[np.random.default_rng(children[2 * i]) for i in range(d)],
         dest_rngs=[np.random.default_rng(children[2 * i + 1]) for i in range(d)],
-        collect_waits=collect_waits,
-        waits=[[] for _ in range(d)],
     )
 
 
 def observe(state: SimState, pdc: int) -> tuple[int, int]:
-    """(allocated UAVs, queued packages) for PDC index 1..D."""
+    """(allocated drones, queued packages) for PDC index 1..D."""
     return int(state.home_counts[pdc]), len(state.queues[pdc - 1])
 
 
-def _schedule_due(state: SimState, uav_id: int, slot: int) -> None:
-    state._due.setdefault(slot, []).append(uav_id)
-
-
-def _due_slot(uav: Uav) -> int | None:
-    if uav.state in (UavState.DELIVERING, UavState.RETURNING, UavState.RELOCATING):
-        return uav.eta_slot
-    if uav.state == UavState.SWAP:
-        return uav.ready_slot
-    return None
-
-
-def _advance_due(state: SimState) -> None:
-    t = state.t
-    district = state.district
-    while True:
-        batch = state._due.pop(t, None)
-        if not batch:
-            return
-        for uid in batch:
-            uav = state.fleet[uid]
-            if _due_slot(uav) != t:
-                continue  # stale entry left behind by a mid-flight reassignment
-            if uav.state == UavState.DELIVERING:
-                if uav.package is not None:
-                    uav.package.delivered_slot = t
-                    uav.package = None
-                uav.last_delivery_slot = t
-                if uav.retargeted or uav.return_trip_slots < 0:
-                    back = travel_time_slots(
-                        distance(uav.destination, district.location_of(uav.home)),
-                        district.speed_kph,
-                    )
-                else:
-                    back = uav.return_trip_slots
-                uav.return_trip_slots = -1
-                uav.eta_slot = t + back
-                if uav.retargeted:
-                    uav.state = UavState.RELOCATING
-                    uav.retargeted = False
-                    uav.relocate_swap = True
-                else:
-                    uav.state = UavState.RETURNING
-                uav.destination = None
-                _schedule_due(state, uid, uav.eta_slot)
-            elif uav.state == UavState.RETURNING:
-                uav.state = UavState.SWAP
-                uav.ready_slot = t + 1
-                _schedule_due(state, uid, uav.ready_slot)
-            elif uav.state == UavState.RELOCATING:
-                if uav.relocate_swap:
-                    uav.relocate_swap = False
-                    uav.state = UavState.SWAP
-                    uav.ready_slot = t + 1
-                    _schedule_due(state, uid, uav.ready_slot)
-                else:
-                    uav.state = UavState.IDLE
-                    insort(state.idle[uav.home], uid)
-            elif uav.state == UavState.SWAP:
-                uav.state = UavState.IDLE
-                insort(state.idle[uav.home], uid)
+def _book(state: SimState, uid: int, free: int) -> None:
+    state.free[uid] = free
+    state.due.setdefault(free, []).append(uid)
 
 
 def step_slot(state: SimState) -> tuple[list[int], list[int]]:
@@ -201,8 +113,13 @@ def step_slot(state: SimState) -> tuple[list[int], list[int]]:
     district = state.district
     d = district.num_pdcs
     mps = district.meters_per_slot
-    fleet = state.fleet
-    _advance_due(state)
+    home, free = state.home, state.free
+
+    # a moved drone leaves its old entry behind; only the live one counts
+    for uid in state.due.pop(t, ()):
+        if free[uid] == t:
+            free[uid] = IDLE_FREE
+            insort(state.idle[home[uid]], uid)
 
     arrived = [0] * d
     for i, proc in enumerate(state.processes):
@@ -214,102 +131,60 @@ def step_slot(state: SimState) -> tuple[list[int], list[int]]:
             dests = sample_destinations(region, state.dest_rngs[i], size)
             ox, oy = region.pdc_location
             trips = np.ceil(np.hypot(dests[:, 0] - ox, dests[:, 1] - oy) / mps)
-            queue = state.queues[i]
-            pid = state.next_package_id
-            for k in range(size):
-                queue.append(
-                    Package(
-                        package_id=pid + k,
-                        pdc=i + 1,
-                        destination=(float(dests[k, 0]), float(dests[k, 1])),
-                        arrival_slot=t,
-                        trip_slots=int(trips[k]),
-                    )
-                )
-            state.next_package_id = pid + size
+            points = zip(dests[:, 0].tolist(), dests[:, 1].tolist())
+            state.queues[i].extend(zip(trips.astype(np.int64).tolist(), points))
         proc.advance_slot(t, arng)
 
     dispatched = [0] * d
     for i in range(d):
         queue = state.queues[i]
         idle = state.idle[i + 1]
-        if not queue or not idle:
-            continue
-        origin = district.regions[i].pdc_location
         while queue and idle:
             uid = idle.pop(0)
-            pkg = queue.popleft()
-            pkg.dispatch_slot = t
-            if pkg.trip_slots < 0:
-                pkg.trip_slots = travel_time_slots(
-                    distance(origin, pkg.destination), district.speed_kph
-                )
-            uav = fleet[uid]
-            uav.state = UavState.DELIVERING
-            uav.destination = pkg.destination
-            uav.package = pkg
-            uav.mission_start_slot = t
-            uav.return_trip_slots = pkg.trip_slots
+            trip, state.dest[uid] = queue.popleft()
+            state.start[uid] = t
             # a delivery occupies at least one slot
-            uav.eta_slot = t + (pkg.trip_slots if pkg.trip_slots > 1 else 1)
-            _schedule_due(state, uid, uav.eta_slot)
+            state.drop[uid] = drop = t + (trip if trip > 1 else 1)
+            state.back[uid] = back = drop + trip
+            _book(state, uid, back + 1)
             dispatched[i] += 1
-            if state.collect_waits:
-                state.waits[i].append((pkg.arrival_slot, t - pkg.arrival_slot))
 
     state.t = t + 1
     return arrived, dispatched
 
 
 def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> None:
-    """Reassign UAVs to new homes (0 sends one back to the port).
+    """Reassign drones to new homes (0 sends one back to the port).
 
-    Idle and returning UAVs start a relocation leg immediately; delivering
-    UAVs finish their drop first and then fly to the new home. Ownership
-    transfers at once either way, so n_d reflects inbound UAVs.
+    Idle drones relocate at once and need no swap. Returning drones are
+    diverted from their old home to the new one and swap on arrival.
+    Delivering drones finish their drop first, then fly from the drop point
+    to the new home and swap. Ownership transfers at once either way, so n_d
+    reflects inbound drones.
     """
     t = state.t
     district = state.district
+    speed = district.speed_kph
     for uid, target in moves:
-        if not 0 <= uid < len(state.fleet):
+        if not 0 <= uid < len(state.home):
             raise ValueError(f"unknown UAV id {uid}")
         if not 0 <= target <= state.num_pdcs():
             raise ValueError(f"unknown home index {target}")
-        uav = state.fleet[uid]
-        old_home = uav.home
-        if uav.state == UavState.IDLE:
+        old_home = state.home[uid]
+        if state.free[uid] == IDLE_FREE:
             state.idle[old_home].remove(uid)
-            uav.state = UavState.RELOCATING
-            uav.relocate_swap = False
-            uav.eta_slot = t + travel_time_slots(
-                distance(district.location_of(old_home), district.location_of(target)),
-                district.speed_kph,
-            )
-            _schedule_due(state, uid, uav.eta_slot)
-        elif uav.state == UavState.RETURNING:
-            # divert: the return leg is replaced by old home -> new home
-            uav.state = UavState.RELOCATING
-            uav.relocate_swap = True
-            uav.eta_slot = t + travel_time_slots(
-                distance(district.location_of(old_home), district.location_of(target)),
-                district.speed_kph,
-            )
-            _schedule_due(state, uid, uav.eta_slot)
-        elif uav.state == UavState.DELIVERING:
-            uav.retargeted = True
+            leg = distance(district.location_of(old_home), district.location_of(target))
+            _book(state, uid, t + travel_time_slots(leg, speed))
+        elif t <= state.drop[uid]:
+            drop = state.back[uid] = state.drop[uid]
+            leg = distance(state.dest[uid], district.location_of(target))
+            _book(state, uid, drop + travel_time_slots(leg, speed) + 1)
+        elif t <= state.back[uid]:
+            state.back[uid] = state.drop[uid]
+            leg = distance(district.location_of(old_home), district.location_of(target))
+            _book(state, uid, t + travel_time_slots(leg, speed) + 1)
         else:
-            raise ValueError(f"UAV {uid} is not movable while {uav.state.value}")
-        uav.home = target
+            raise ValueError(f"UAV {uid} is not movable while relocating or swapping")
+        state.home[uid] = target
         state.home_counts[old_home] -= 1
         state.home_counts[target] += 1
-
-
-def fleet_partition(state: SimState) -> dict:
-    """Recount the fleet by home and status; used by consistency checks."""
-    d = state.num_pdcs()
-    counts = np.zeros(d + 1, dtype=np.int64)
-    by_status: dict[UavState, int] = {s: 0 for s in UavState}
-    for uav in state.fleet:
-        counts[uav.home] += 1
-        by_status[uav.state] += 1
-    return {"home_counts": counts, "by_status": by_status}

@@ -18,6 +18,7 @@ import numpy as np
 from .network import adam_step, batch_gradient, copy_network, init_adam, init_network
 from .rlagent import (
     NUM_ACTIONS,
+    STATE_SIZE,
     EpsilonSchedule,
     ReplayBuffer,
     RewardParams,
@@ -28,12 +29,10 @@ from .rlagent import (
     epsilon_at,
     select_action,
 )
-from .scheduler import schedule
-from .simcore import apply_allocation_moves, init_sim, observe, step_slot
+from .runner import run_epoch
+from .simcore import init_sim, observe
 
 logger = logging.getLogger(__name__)
-
-STATE_SIZE = 25
 
 
 @dataclass
@@ -111,7 +110,6 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     window = deque(maxlen=10)  # (over_slots, total_slots) per recent episode
     curve = []
     global_step = 0
-    q_window = np.zeros((d, epoch_slots), dtype=np.int64)
 
     for episode in range(cfg.episodes):
         state = init_sim(
@@ -134,14 +132,8 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
                 for agent, enc in zip(agents, encoded)
             ]
             deltas = [action_delta(a, scenario.delta) for a in actions]
-            moves = schedule(state, deltas, sched_rng)
-            apply_allocation_moves(state, moves)
+            q_window, _, _ = run_epoch(state, deltas, sched_rng, epoch_slots)
             held = [int(state.home_counts[pdc]) for pdc in range(1, d + 1)]
-
-            for slot in range(epoch_slots):
-                step_slot(state)
-                for i in range(d):
-                    q_window[i, slot] = len(state.queues[i])
 
             saturated = bool((q_window > cfg.saturation_cutoff).any())
             next_obs = [observe(state, pdc) for pdc in range(1, d + 1)]

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written long-hand from the documented rules, on purpose:
-plain loops over the raw fleet list, no shared helpers with the production
-code beyond the data types themselves.
+plain loops over the raw per-drone lists, no shared helpers with the
+production code beyond the data types themselves.
 """
 
 import math
@@ -11,34 +11,71 @@ from collections import deque
 import numpy as np
 
 from dronefleet.arrivals import BatchSpec, BernoulliArrivals
-from dronefleet.simcore import SimState, Uav, UavState
+from dronefleet.simcore import IDLE_FREE, SimState
 
 
-def build_state(district, uavs, t=0):
-    """Assemble a consistent SimState around a hand-made fleet."""
+def idle(home):
+    return {"home": home}
+
+
+def delivering(home, dest, drop, start, back=None):
+    back = drop + 3 if back is None else back
+    return {"home": home, "dest": dest, "drop": drop, "start": start, "back": back, "free": back + 1}
+
+
+def returning(home, drop, back):
+    return {"home": home, "drop": drop, "back": back, "free": back + 1}
+
+
+def locked(home, free, t):
+    """Relocating or swapping at slot t: the mission legs are over."""
+    return {"home": home, "drop": t - 1, "back": t - 1, "free": free}
+
+
+def phase(state, uid):
+    """Phase of one drone read off its raw lists at the state's clock."""
+    if state.free[uid] == IDLE_FREE:
+        return "idle"
+    if state.t <= state.drop[uid]:
+        return "delivering"
+    if state.t <= state.back[uid]:
+        return "returning"
+    return "locked"
+
+
+def build_state(district, drones, t=0):
+    """Assemble a consistent SimState around hand-made drones, one dict per
+    id in order (see idle, delivering, returning and locked)."""
     d = district.num_pdcs
-    fleet = sorted(uavs, key=lambda u: u.uav_id)
-    assert [u.uav_id for u in fleet] == list(range(len(fleet)))
-    idle = [[] for _ in range(d + 1)]
+    n = len(drones)
+    idle_ids = [[] for _ in range(d + 1)]
     counts = np.zeros(d + 1, dtype=np.int64)
-    for uav in fleet:
-        counts[uav.home] += 1
-        if uav.state == UavState.IDLE:
-            idle[uav.home].append(uav.uav_id)
+    due = {}
+    for uid, drone in enumerate(drones):
+        counts[drone["home"]] += 1
+        if "free" in drone:
+            due.setdefault(drone["free"], []).append(uid)
+        else:
+            idle_ids[drone["home"]].append(uid)
     procs = [
         BernoulliArrivals(p=0.0, truck_interval=30, batch=BatchSpec(1, 0)) for _ in range(d)
     ]
     return SimState(
         district=district,
         processes=procs,
-        fleet=fleet,
+        home=[drone["home"] for drone in drones],
+        start=[drone.get("start", -1) for drone in drones],
+        drop=[drone.get("drop", -1) for drone in drones],
+        back=[drone.get("back", -1) for drone in drones],
+        free=[drone.get("free", IDLE_FREE) for drone in drones],
+        dest=[drone.get("dest") for drone in drones],
         queues=[deque() for _ in range(d)],
-        idle=idle,
+        idle=idle_ids,
         home_counts=counts,
         arrival_rngs=[np.random.default_rng(i) for i in range(d)],
         dest_rngs=[np.random.default_rng(100 + i) for i in range(d)],
         t=t,
-        waits=[[] for _ in range(d)],
+        due=due,
     )
 
 
@@ -59,35 +96,33 @@ def replay_schedule(state, requests, rng):
     mps = district.meters_per_slot
 
     donors = []  # (uav_id, pickup_xy, extra_flight_m)
+    fleet = range(len(state.home))
     for pdc in range(1, d + 1):
         owe = -requests[pdc - 1]
         if owe <= 0:
             continue
         loc = district.location_of(pdc)
-        idle_ids = sorted(
-            u.uav_id for u in state.fleet if u.home == pdc and u.state == UavState.IDLE
-        )
+        mine = [u for u in fleet if state.home[u] == pdc]
+        idle_ids = sorted(u for u in mine if phase(state, u) == "idle")
         for uid in idle_ids[:owe]:
             donors.append((uid, loc, 0.0))
         owe -= min(owe, len(idle_ids))
         if owe > 0:
-            rets = [u for u in state.fleet if u.home == pdc and u.state == UavState.RETURNING]
-            rets.sort(key=lambda u: (-u.last_delivery_slot, u.uav_id))
+            rets = [u for u in mine if phase(state, u) == "returning"]
+            rets.sort(key=lambda u: (-state.drop[u], u))
             for u in rets[:owe]:
-                donors.append((u.uav_id, loc, 0.0))
+                donors.append((u, loc, 0.0))
             owe -= min(owe, len(rets))
         if owe > 0:
-            dels = [u for u in state.fleet if u.home == pdc and u.state == UavState.DELIVERING]
-            dels.sort(key=lambda u: (u.mission_start_slot, u.uav_id))
+            dels = [u for u in mine if phase(state, u) == "delivering"]
+            dels.sort(key=lambda u: (state.start[u], u))
             for u in dels[:owe]:
-                left = max(0, u.eta_slot - t) * mps
-                donors.append((u.uav_id, u.destination, left))
+                left = max(0, state.drop[u] - t) * mps
+                donors.append((u, state.dest[u], left))
 
     demand = sum(requests)
     if demand > 0:
-        port_ids = sorted(
-            u.uav_id for u in state.fleet if u.home == 0 and u.state == UavState.IDLE
-        )
+        port_ids = sorted(u for u in fleet if state.home[u] == 0 and phase(state, u) == "idle")
         for uid in port_ids[:demand]:
             donors.append((uid, district.port_location, 0.0))
 
@@ -112,25 +147,19 @@ def replay_schedule(state, requests, rng):
 
 
 def random_fleet_instance(district, rng, max_uavs=14):
-    """Random mixed-status fleet plus signed requests, for equivalence runs."""
+    """Random mixed-phase fleet plus signed requests, for equivalence runs."""
     d = district.num_pdcs
     n = int(rng.integers(4, max_uavs + 1))
     t = int(rng.integers(0, 200))
-    uavs = []
-    for uid in range(n):
+    drones = []
+    for _ in range(n):
         home = int(rng.integers(0, d + 1))
         kind = rng.random()
         if home == 0 or kind < 0.4:
-            uavs.append(Uav(uav_id=uid, home=home, state=UavState.IDLE))
+            drones.append(idle(home))
         elif kind < 0.6:
-            uavs.append(
-                Uav(
-                    uav_id=uid,
-                    home=home,
-                    state=UavState.RETURNING,
-                    eta_slot=t + int(rng.integers(1, 20)),
-                    last_delivery_slot=int(rng.integers(-1, t + 1)),
-                )
+            drones.append(
+                returning(home, drop=int(rng.integers(-1, t)), back=t + int(rng.integers(0, 20)))
             )
         elif kind < 0.85:
             region = district.regions[int(rng.integers(0, d))]
@@ -139,26 +168,17 @@ def random_fleet_instance(district, rng, max_uavs=14):
                 float(rng.uniform(sub.min_corner[0], sub.max_corner[0])),
                 float(rng.uniform(sub.min_corner[1], sub.max_corner[1])),
             )
-            uavs.append(
-                Uav(
-                    uav_id=uid,
-                    home=home,
-                    state=UavState.DELIVERING,
-                    destination=dest,
-                    eta_slot=t + int(rng.integers(0, 20)),
-                    mission_start_slot=int(rng.integers(0, t + 1)),
+            drones.append(
+                delivering(
+                    home,
+                    dest,
+                    drop=t + int(rng.integers(0, 20)),
+                    start=int(rng.integers(0, t + 1)),
                 )
             )
         elif kind < 0.95:
-            uavs.append(Uav(uav_id=uid, home=home, state=UavState.SWAP, ready_slot=t + 1))
+            drones.append(locked(home, free=t, t=t))  # swapping
         else:
-            uavs.append(
-                Uav(
-                    uav_id=uid,
-                    home=home,
-                    state=UavState.RELOCATING,
-                    eta_slot=t + int(rng.integers(1, 10)),
-                )
-            )
+            drones.append(locked(home, free=t + int(rng.integers(1, 10)), t=t))  # relocating
     requests = [int(rng.integers(-3, 4)) for _ in range(d)]
-    return build_state(district, uavs, t=t), requests
+    return build_state(district, drones, t=t), requests

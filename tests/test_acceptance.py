@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+import dronefleet
 from dronefleet.arrivals import (
     BatchSpec,
     BernoulliArrivals,
@@ -349,6 +350,9 @@ def test_criterion_9_bitwise_reproducibility(capsys, tmp_path):
     cfg_path = tmp_path / "repro.json"
     cfg_path.write_text(json.dumps(doc))
     env = {k: v for k, v in os.environ.items() if k != "DRONEFLEET_OUT"}
+    # the child runs in tmp_path, so point it at this package's source by path
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(dronefleet.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     for out in ("a", "b"):
         proc = subprocess.run(
             [

@@ -14,7 +14,7 @@ from dronefleet.configs import (
 )
 from dronefleet.metrics import CSV_COLUMNS
 from dronefleet.network import init_network
-from dronefleet.rlagent import load_checkpoint
+from dronefleet.rlagent import load_checkpoint, save_checkpoint
 
 
 def base_doc(**overrides):
@@ -45,7 +45,7 @@ def test_bundled_scenarios_load():
     for name in BUILTIN_SCENARIOS:
         cfg = load_experiment_config(name)
         assert cfg.district.num_pdcs == 4
-        assert cfg.total_uavs == 60
+        assert cfg.district.total_uavs == 60
         assert len(cfg.queue_bounds) == 4
         assert cfg.arrival["type"] == name
         assert cfg.initial_allocation_counts() == [12, 11, 17, 20]
@@ -80,6 +80,19 @@ def test_validation_rejects_bad_documents():
     for doc in cases:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+
+def test_total_uavs_sets_the_district_fleet():
+    cfg = config_from_dict(base_doc(total_uavs=40))
+    assert cfg.district.total_uavs == 40
+    assert sum(cfg.initial_allocation_counts()) == 40
+    assert cfg.resolved_dict()["total_uavs"] == 40
+    assert cfg.checkpoint_echo(seed=1, pdc=1)["total_uavs"] == 40
+    bigger = cfg.with_fleet(70)
+    assert bigger.district.total_uavs == 70
+    assert sum(bigger.initial_allocation_counts()) == 70
+    with pytest.raises(ConfigError):
+        cfg.with_fleet(0)
 
 
 def test_explicit_initial_allocation_passes_through():
@@ -251,6 +264,38 @@ def test_cli_sweep(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["total_uavs", "p_max", "n_mean"] + [f"violation_{p}" for p in range(1, 5)]
     assert [r[0] for r in rows[1:]] == ["40", "60"]
+
+
+def test_cli_eval_n_uavs_sets_the_fleet(tmp_path):
+    config = write_config(tmp_path, base_doc())
+    out = tmp_path / "out"
+    assert main(["eval", "--config", config, "--out", str(out), "--trace", "--n-uavs", "40"]) == 0
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # the static split puts the whole fleet at the PDCs
+    assert {sum(int(row[f"n_{p}"]) for p in range(1, 5)) for row in rows} == {40}
+    assert json.loads((out / "resolved_config.json").read_text())["total_uavs"] == 40
+
+
+def test_cli_sweep_beyond_the_bundled_fleet(tmp_path):
+    config = write_config(tmp_path, base_doc())
+    out = tmp_path / "sweep_out"
+    argv = ["sweep", "--config", config, "--out", str(out), "--n-uavs", "70", "--horizon", "120"]
+    assert main(argv) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["70"]
+
+
+def test_cli_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for pdc in range(1, 5):
+        net = init_network([7, 32, 32, 3], np.random.default_rng(pdc))
+        save_checkpoint(str(ckpts / f"agent_pdc{pdc}.json"), net, 1, {})
+    argv = ["eval", "--config", "bernoulli", "--checkpoints", str(ckpts), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--horizon", "120"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path):

@@ -1,12 +1,16 @@
 import csv
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dronefleet.arrivals import BatchSpec, BernoulliArrivals
+from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
-from dronefleet.runner import run_policy
+from dronefleet.runner import fifo_waits, run_epoch, run_policy
+from dronefleet.simcore import init_sim, observe
 
 
 def tiny_district():
@@ -97,7 +101,8 @@ def test_seed_reproducibility_and_sensitivity():
     c = run_policy(**{**kwargs, "processes": procs()}, seed=8)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.n, b.n)
-    assert a.waits == b.waits
+    assert len(a.waits) == len(b.waits) == 2
+    assert all(np.array_equal(x, y) for x, y in zip(a.waits, b.waits))
     assert not np.array_equal(a.q, c.q)
 
 
@@ -134,3 +139,65 @@ def test_rejects_bad_horizon():
             horizon_slots=10,
             seed=0,
         )
+
+
+def test_fifo_waits_pair_arrivals_with_dispatches_in_order():
+    # three packages land at t=0; two leave at once, the third at t=7
+    arrivals = np.array([3, 0, 0, 0, 0, 0, 0, 0, 1])
+    dispatches = np.array([2, 0, 0, 0, 0, 0, 0, 1, 0])
+    assert fifo_waits(arrivals, dispatches).tolist() == [[0, 0], [0, 0], [0, 7]]
+
+
+def test_run_policy_waits_match_a_per_package_replay(tmp_path):
+    path = tmp_path / "trace.csv"
+    traces = run_policy(
+        district=tiny_district(),
+        processes=procs(),
+        controller=StaticController(),
+        initial_allocation=[1, 1],
+        epoch_slots=30,
+        horizon_slots=600,
+        seed=9,
+        trace_path=str(path),
+    )
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    for pdc in (1, 2):
+        waiting, want = deque(), []
+        for row in rows:
+            t = int(row["t"])
+            waiting.extend([t] * int(row[f"arrivals_{pdc}"]))
+            for _ in range(int(row[f"dispatches_{pdc}"])):
+                born = waiting.popleft()
+                want.append([born, t - born])
+        assert any(w > 0 for _, w in want)
+        assert traces.waits[pdc - 1].tolist() == want
+
+
+def test_run_epoch_counts_and_static_moves():
+    district = tiny_district()
+    state = init_sim(district, procs(), [3, 2], np.random.SeedSequence(4))
+    q, arrived, dispatched = run_epoch(state, [0, 0], np.random.default_rng(0), 30)
+    assert q.shape == arrived.shape == dispatched.shape == (2, 30)
+    assert state.t == 30
+    # queue balance within the epoch
+    assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
+    assert list(state.home_counts) == [1, 3, 2]
+
+
+@pytest.mark.parametrize("controller", ["static", "threshold", "ql"])
+@pytest.mark.parametrize("fleet", [40, 60, 70])
+def test_fleet_size_holds_through_every_epoch(controller, fleet):
+    cfg = replace(load_experiment_config("mmb"), controller=controller).with_fleet(fleet)
+    ctrl = cfg.build_controller()
+    state = init_sim(
+        cfg.district, cfg.make_processes(), cfg.initial_allocation_counts(), np.random.SeedSequence(5)
+    )
+    rng = np.random.default_rng(6)
+    d = cfg.district.num_pdcs
+    assert len(state.home) == fleet
+    for epoch in range(20):
+        obs = [observe(state, pdc) for pdc in range(1, d + 1)]
+        run_epoch(state, ctrl.decide(epoch, obs), rng, cfg.reward.epoch_slots)
+        assert len(state.home) == fleet
+        assert int(state.home_counts.sum()) == fleet

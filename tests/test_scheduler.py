@@ -3,9 +3,17 @@ import pytest
 
 from dronefleet.geography import District, Region, SubRegion, builtin_district
 from dronefleet.scheduler import form_donor_set, schedule
-from dronefleet.simcore import Uav, UavState, apply_allocation_moves
+from dronefleet.simcore import apply_allocation_moves
 
-from oracles import build_state, random_fleet_instance, replay_schedule
+from oracles import (
+    build_state,
+    delivering,
+    idle,
+    locked,
+    random_fleet_instance,
+    replay_schedule,
+    returning,
+)
 
 
 def line_district(total_uavs=8):
@@ -25,7 +33,7 @@ def line_district(total_uavs=8):
 
 
 def test_request_length_validated():
-    state = build_state(line_district(), [Uav(uav_id=0, home=1)])
+    state = build_state(line_district(), [idle(1)])
     with pytest.raises(ValueError):
         form_donor_set(state, [0, 0])
 
@@ -33,13 +41,11 @@ def test_request_length_validated():
 def test_donor_category_order_within_a_pdc():
     district = line_district()
     uavs = [
-        Uav(uav_id=0, home=1, state=UavState.DELIVERING, destination=(50.0, 0.0),
-            eta_slot=12, mission_start_slot=4),
-        Uav(uav_id=1, home=1, state=UavState.RETURNING, eta_slot=11, last_delivery_slot=9),
-        Uav(uav_id=2, home=1, state=UavState.IDLE),
-        Uav(uav_id=3, home=1, state=UavState.RETURNING, eta_slot=12, last_delivery_slot=3),
-        Uav(uav_id=4, home=1, state=UavState.DELIVERING, destination=(60.0, 0.0),
-            eta_slot=15, mission_start_slot=2),
+        delivering(1, dest=(50.0, 0.0), drop=12, start=4),
+        returning(1, drop=9, back=11),
+        idle(1),
+        returning(1, drop=3, back=12),
+        delivering(1, dest=(60.0, 0.0), drop=15, start=2),
     ]
     state = build_state(district, uavs, t=10)
     donors = form_donor_set(state, [-4, 0, 0])
@@ -51,18 +57,13 @@ def test_donor_category_order_within_a_pdc():
 
 
 def test_overdrawn_pdc_donates_all_it_has():
-    state = build_state(line_district(), [Uav(uav_id=0, home=1), Uav(uav_id=1, home=1)])
+    state = build_state(line_district(), [idle(1), idle(1)])
     donors = form_donor_set(state, [-5, 0, 0])
     assert [e.uav_id for e in donors] == [0, 1]
 
 
 def test_port_joins_only_under_net_demand():
-    uavs = [
-        Uav(uav_id=0, home=0),
-        Uav(uav_id=1, home=0),
-        Uav(uav_id=2, home=0),
-        Uav(uav_id=3, home=1),
-    ]
+    uavs = [idle(0), idle(0), idle(0), idle(1)]
     state = build_state(line_district(), uavs)
     # net demand zero: a pure reshuffle leaves the port out of it
     donors = form_donor_set(state, [-1, 1, 0])
@@ -73,20 +74,20 @@ def test_port_joins_only_under_net_demand():
 
 
 def test_shed_with_no_takers_parks_at_port():
-    state = build_state(line_district(), [Uav(uav_id=0, home=1), Uav(uav_id=1, home=1)])
+    state = build_state(line_district(), [idle(1), idle(1)])
     moves = schedule(state, [-2, 0, 0], np.random.default_rng(0))
     assert moves == [(0, 0), (1, 0)]
 
 
 def test_unmet_demand_is_dropped():
-    state = build_state(line_district(), [Uav(uav_id=0, home=1, state=UavState.SWAP, ready_slot=1)])
+    state = build_state(line_district(), [locked(1, free=1, t=0)])
     moves = schedule(state, [0, 2, 0], np.random.default_rng(0))
     assert moves == []
 
 
 def test_nearest_donor_wins():
     # PDC2 at x=3000 takes the PDC1 donor (3000 m) over the PDC3 one (6000 m)
-    uavs = [Uav(uav_id=0, home=3), Uav(uav_id=1, home=1)]
+    uavs = [idle(3), idle(1)]
     state = build_state(line_district(), uavs)
     moves = schedule(state, [-1, 1, -1], np.random.default_rng(0))
     assert moves == [(1, 2), (0, 0)]
@@ -95,11 +96,7 @@ def test_nearest_donor_wins():
 def test_remaining_flight_counts_against_delivering_donors():
     # both donors would land at PDC2; the delivering one still has 3000 m
     # to fly first, so the idle donor at the same distance wins
-    uavs = [
-        Uav(uav_id=0, home=1, state=UavState.DELIVERING, destination=(3000.0, 0.0),
-            eta_slot=10, mission_start_slot=0),
-        Uav(uav_id=1, home=3),
-    ]
+    uavs = [delivering(1, dest=(3000.0, 0.0), drop=10, start=0), idle(3)]
     state = build_state(line_district(), uavs, t=0)
     moves = schedule(state, [-1, 1, -1], np.random.default_rng(0))
     # donor 0 pickup is the destination itself (distance 0) but carries
@@ -109,7 +106,7 @@ def test_remaining_flight_counts_against_delivering_donors():
 
 
 def test_equal_cost_breaks_ties_by_id():
-    uavs = [Uav(uav_id=0, home=0), Uav(uav_id=1, home=0), Uav(uav_id=2, home=0)]
+    uavs = [idle(0), idle(0), idle(0)]
     state = build_state(line_district(), uavs)
     moves = schedule(state, [0, 2, 0], np.random.default_rng(3))
     # demand 2 pulls exactly two port donors, lowest ids, and spares the third
@@ -118,7 +115,7 @@ def test_equal_cost_breaks_ties_by_id():
 
 def test_needy_order_comes_from_the_rng():
     # two needy PDCs, one donor: whoever is drawn first takes it
-    uavs = [Uav(uav_id=0, home=0), Uav(uav_id=1, home=0)]
+    uavs = [idle(0), idle(0)]
     state = build_state(line_district(), uavs)
     outcomes = set()
     for seed in range(8):

@@ -4,13 +4,14 @@ import pytest
 from dronefleet.arrivals import BatchSpec, BernoulliArrivals
 from dronefleet.geography import District, Region, SubRegion
 from dronefleet.simcore import (
-    UavState,
+    IDLE_FREE,
     apply_allocation_moves,
-    fleet_partition,
     init_sim,
     observe,
     step_slot,
 )
+
+from oracles import phase
 
 
 def point_region(pdc_xy, dest_xy):
@@ -67,29 +68,19 @@ def test_delivery_lifecycle_timing():
     # 900 m each way at 300 m per slot: 3 slots out, 3 back, 1 swap
     district = make_district([point_region((0.0, 0.0), (900.0, 0.0))], total_uavs=1)
     state = init_sim(district, [one_shot_process()], [1], np.random.SeedSequence(2))
-    uav = state.fleet[0]
 
     step_slot(state)  # t=0: arrival and dispatch
-    assert uav.state == UavState.DELIVERING
-    assert uav.eta_slot == 3
-    assert uav.package is not None
-    assert uav.package.dispatch_slot == 0
+    assert (state.start[0], state.drop[0], state.back[0], state.free[0]) == (0, 3, 6, 7)
+    assert state.dest[0] == (900.0, 0.0)
+    assert state.due == {7: [0]}  # one due event per mission
     assert observe(state, 1) == (1, 0)
 
-    for _ in range(3):  # t=1,2,3
+    phases = []
+    for _ in range(7):  # t=1..7
+        phases.append(phase(state, 0))
         step_slot(state)
-    assert uav.state == UavState.RETURNING
-    assert uav.package is None
-    assert uav.last_delivery_slot == 3
-    assert uav.eta_slot == 6
-
-    for _ in range(3):  # t=4,5,6
-        step_slot(state)
-    assert uav.state == UavState.SWAP
-    assert uav.ready_slot == 7
-
-    step_slot(state)  # t=7
-    assert uav.state == UavState.IDLE
+    assert phases == ["delivering"] * 3 + ["returning"] * 3 + ["locked"]
+    assert state.free[0] == IDLE_FREE
     assert state.idle[1] == [0]
 
 
@@ -97,43 +88,35 @@ def test_delivery_takes_at_least_one_slot():
     # destination on top of the PDC still consumes a slot out, zero back
     district = make_district([point_region((0.0, 0.0), (0.0, 0.0))], total_uavs=1)
     state = init_sim(district, [one_shot_process()], [1], np.random.SeedSequence(3))
-    uav = state.fleet[0]
     step_slot(state)  # t=0 dispatch
-    assert uav.state == UavState.DELIVERING
-    assert uav.eta_slot == 1
-    step_slot(state)  # t=1: delivered, zero-length return resolves in-slot
-    assert uav.last_delivery_slot == 1
-    assert uav.state == UavState.SWAP
-    assert uav.ready_slot == 2
+    assert (state.drop[0], state.back[0], state.free[0]) == (1, 1, 2)
+    assert phase(state, 0) == "delivering"
+    step_slot(state)  # t=1: delivered, the zero-length return ends in-slot
+    assert phase(state, 0) == "locked"  # swapping
     step_slot(state)  # t=2
-    assert uav.state == UavState.IDLE
+    assert phase(state, 0) == "idle"
 
 
 def test_fcfs_dispatch_lowest_id_first():
     district = make_district([point_region((0.0, 0.0), (900.0, 0.0))], total_uavs=2)
     state = init_sim(
-        district,
-        [one_shot_process(batch_mean=3)],
-        [2],
-        np.random.SeedSequence(4),
-        collect_waits=True,
+        district, [one_shot_process(batch_mean=3)], [2], np.random.SeedSequence(4)
     )
     arrived, dispatched = step_slot(state)
     assert arrived == [3]
     assert dispatched == [2]
-    assert state.fleet[0].package.package_id == 0
-    assert state.fleet[1].package.package_id == 1
+    assert state.start[:2] == [0, 0]
     assert len(state.queues[0]) == 1
 
     # the third package leaves as soon as the swap finishes at t=7,
-    # within the same slot the UAV turns idle
+    # within the same slot the drone turns idle
     for _ in range(6):
         step_slot(state)
-    assert state.fleet[0].state == UavState.SWAP
+    assert phase(state, 0) == "locked"
     _, dispatched = step_slot(state)  # t=7
     assert dispatched == [1]
-    assert state.fleet[0].package.package_id == 2
-    assert state.waits[0] == [(0, 0), (0, 0), (0, 7)]
+    assert state.start == [7, 0]  # lowest id first
+    assert not state.queues[0]
 
 
 def test_idle_move_relocates_without_swap():
@@ -143,16 +126,15 @@ def test_idle_move_relocates_without_swap():
     )
     state = init_sim(district, [quiet_process(), quiet_process()], [2, 0], np.random.SeedSequence(5))
     apply_allocation_moves(state, [(0, 2)])
-    uav = state.fleet[0]
-    assert uav.state == UavState.RELOCATING
+    assert phase(state, 0) == "locked"  # relocating
     assert list(state.home_counts) == [0, 1, 1]  # ownership moves immediately
     assert state.idle[1] == [1]
-    assert uav.eta_slot == 2  # 600 m at 300 m per slot
+    assert state.free[0] == 2  # 600 m at 300 m per slot
     step_slot(state)  # t=0
     step_slot(state)  # t=1
-    assert uav.state == UavState.RELOCATING
+    assert phase(state, 0) == "locked"
     step_slot(state)  # t=2: arrival resolves, no swap for an idle move
-    assert uav.state == UavState.IDLE
+    assert phase(state, 0) == "idle"
     assert state.idle[2] == [0]
 
 
@@ -163,7 +145,7 @@ def test_idle_move_to_port():
     assert list(state.home_counts) == [1, 0]
     step_slot(state)  # t=0: still in flight, 300 m leg lands at t=1
     step_slot(state)  # t=1: arrival resolves
-    assert state.fleet[0].state == UavState.IDLE
+    assert phase(state, 0) == "idle"
     assert state.idle[0] == [0]
 
 
@@ -177,49 +159,51 @@ def test_returning_move_is_diverted_with_swap():
     )
     for _ in range(4):  # t=0..3, delivery done at t=3
         step_slot(state)
-    uav = state.fleet[0]
-    assert uav.state == UavState.RETURNING
+    assert phase(state, 0) == "returning"
 
     apply_allocation_moves(state, [(0, 2)])
-    assert uav.state == UavState.RELOCATING
-    assert uav.relocate_swap
-    assert uav.eta_slot == 4 + 5  # PDC1 to PDC2 is 1500 m
+    assert phase(state, 0) == "locked"  # relocating
+    assert state.back[0] == state.drop[0] == 3
+    assert state.free[0] == 4 + 5 + 1  # PDC1 to PDC2 is 1500 m, then a swap
     assert list(state.home_counts) == [0, 0, 2]
     for _ in range(6):  # t=4..9
         step_slot(state)
-    assert uav.state == UavState.SWAP
+    assert phase(state, 0) == "locked"  # swapping
     step_slot(state)  # t=10
-    assert uav.state == UavState.IDLE
+    assert phase(state, 0) == "idle"
     assert state.idle[2] == [0, 1]
 
 
 def test_delivering_move_retargets_after_drop():
     district = make_district(
-        [point_region((0.0, 0.0), (900.0, 0.0)), point_region((1500.0, 0.0), (1500.0, 300.0))],
-        total_uavs=2,
+        [
+            point_region((0.0, 0.0), (900.0, 0.0)),
+            point_region((1500.0, 0.0), (1500.0, 300.0)),
+            point_region((0.0, 1500.0), (300.0, 1500.0)),
+        ],
+        total_uavs=3,
     )
-    state = init_sim(
-        district, [one_shot_process(), quiet_process()], [1, 1], np.random.SeedSequence(8)
-    )
-    step_slot(state)  # dispatch at t=0
-    uav = state.fleet[0]
+    procs = [one_shot_process(), quiet_process(), quiet_process()]
+    state = init_sim(district, procs, [1, 1, 1], np.random.SeedSequence(8))
+    step_slot(state)  # dispatch at t=0, drop at t=3
+    apply_allocation_moves(state, [(0, 3)])
+    # a second move before the drop replaces the first one's leg
     apply_allocation_moves(state, [(0, 2)])
-    assert uav.state == UavState.DELIVERING  # finishes the drop first
-    assert uav.retargeted
-    assert list(state.home_counts) == [0, 0, 2]
+    assert phase(state, 0) == "delivering"  # finishes the drop first
+    assert list(state.home_counts) == [0, 0, 2, 1]
+    assert state.back[0] == state.drop[0] == 3
+    assert state.free[0] == 3 + 2 + 1  # 600 m from the drop point to PDC2, then a swap
 
     for _ in range(3):  # t=1..3, drop lands at t=3
         step_slot(state)
-    assert uav.package is None
-    assert uav.state == UavState.RELOCATING
-    assert uav.relocate_swap
-    assert uav.eta_slot == 3 + 2  # 600 m from the drop point to PDC2
+    assert phase(state, 0) == "locked"  # relocating
     for _ in range(2):  # t=4,5
         step_slot(state)
-    assert uav.state == UavState.SWAP
-    step_slot(state)
-    assert uav.state == UavState.IDLE
-    assert uav.home == 2
+    assert phase(state, 0) == "locked"  # swapping
+    step_slot(state)  # t=6
+    assert phase(state, 0) == "idle"
+    assert state.home[0] == 2
+    assert state.idle[2] == [0, 1]
 
 
 def test_unmovable_states_rejected():
@@ -237,6 +221,16 @@ def test_unmovable_states_rejected():
         apply_allocation_moves(state, [(1, 3)])  # unknown home
 
 
+def test_swapping_drone_rejected():
+    district = make_district([point_region((0.0, 0.0), (900.0, 0.0))], total_uavs=1)
+    state = init_sim(district, [one_shot_process()], [1], np.random.SeedSequence(12))
+    for _ in range(7):  # t=0..6: dispatched, delivered, back at t=6
+        step_slot(state)
+    assert state.free[0] == state.t == 7
+    with pytest.raises(ValueError):
+        apply_allocation_moves(state, [(0, 0)])
+
+
 def test_fleet_conservation_under_random_moves():
     district = make_district(
         [
@@ -251,20 +245,26 @@ def test_fleet_conservation_under_random_moves():
     ]
     state = init_sim(district, procs, [3, 3, 2], np.random.SeedSequence(10))
     rng = np.random.default_rng(11)
-    movable = (UavState.IDLE, UavState.RETURNING, UavState.DELIVERING)
+    movable = ("idle", "returning", "delivering")
+    fleet = range(9)
     for _ in range(400):
         step_slot(state)
         if rng.random() < 0.2:
-            candidates = [u.uav_id for u in state.fleet if u.state in movable]
+            candidates = [uid for uid in fleet if phase(state, uid) in movable]
             if candidates:
                 uid = int(rng.choice(candidates))
                 apply_allocation_moves(state, [(uid, int(rng.integers(0, 4)))])
-        parts = fleet_partition(state)
-        assert list(parts["home_counts"]) == list(state.home_counts)
+        recount = np.bincount(state.home, minlength=4)
+        assert list(recount) == list(state.home_counts)
         assert int(state.home_counts.sum()) == 9
-        # idle bookkeeping matches the per-UAV truth
+        # idle bookkeeping matches the per-drone truth, and every busy drone
+        # has a due entry at its free slot
         for home in range(4):
-            truth = sorted(
-                u.uav_id for u in state.fleet if u.state == UavState.IDLE and u.home == home
-            )
+            truth = [
+                uid for uid in fleet if state.free[uid] == IDLE_FREE and state.home[uid] == home
+            ]
             assert state.idle[home] == truth
+        for uid in fleet:
+            if state.free[uid] != IDLE_FREE:
+                assert state.free[uid] >= state.t
+                assert uid in state.due[state.free[uid]]
