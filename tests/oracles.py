@@ -18,9 +18,8 @@ def idle(home):
     return {"home": home}
 
 
-def delivering(home, dest, drop, start, back=None):
-    back = drop + 3 if back is None else back
-    return {"home": home, "dest": dest, "drop": drop, "start": start, "back": back, "free": back + 1}
+def delivering(home, dest, drop, start):
+    return {"home": home, "dest": dest, "drop": drop, "start": start, "back": drop, "free": drop + 1}
 
 
 def returning(home, drop, back):
