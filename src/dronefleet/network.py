@@ -103,44 +103,45 @@ def gradient(net: QNetwork, x: np.ndarray, action: int, target: float) -> tuple[
 
 @dataclass
 class AdamState:
+    """Adam moments for every parameter of one network, flattened in the
+    order of the network's weights, then its biases."""
+
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(net: QNetwork, lr: float = 0.001) -> AdamState:
-    return AdamState(
-        lr=lr,
-        m_w=[np.zeros_like(w) for w in net.weights],
-        v_w=[np.zeros_like(w) for w in net.weights],
-        m_b=[np.zeros_like(b) for b in net.biases],
-        v_b=[np.zeros_like(b) for b in net.biases],
-    )
+    size = sum(p.size for p in (*net.weights, *net.biases))
+    return AdamState(lr=lr, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(adam: AdamState, net: QNetwork, grads_w: list, grads_b: list) -> QNetwork:
     """One bias-corrected Adam update, applied in place."""
     if len(grads_w) != len(net.weights) or len(grads_b) != len(net.biases):
         raise ValueError("gradient/parameter layer count mismatch")
+    params = [*net.weights, *net.biases]
+    grads = [*grads_w, *grads_b]
+    if any(p.shape != g.shape for p, g in zip(params, grads)):
+        raise ValueError("gradient shape mismatch")
+    g = np.concatenate([np.ravel(x) for x in grads])
+    if g.shape != adam.m.shape:
+        raise ValueError("gradient size does not match the Adam state")
     adam.t += 1
     c1 = 1.0 - adam.beta1**adam.t
     c2 = 1.0 - adam.beta2**adam.t
-    for params, grads, ms, vs in (
-        (net.weights, grads_w, adam.m_w, adam.v_w),
-        (net.biases, grads_b, adam.m_b, adam.v_b),
-    ):
-        for p, g, m, v in zip(params, grads, ms, vs):
-            if p.shape != g.shape:
-                raise ValueError("gradient shape mismatch")
-            m *= adam.beta1
-            m += (1.0 - adam.beta1) * g
-            v *= adam.beta2
-            v += (1.0 - adam.beta2) * np.square(g)
-            p -= adam.lr * (m / c1) / (np.sqrt(v / c2) + adam.eps)
+    m, v = adam.m, adam.v
+    m *= adam.beta1
+    m += (1.0 - adam.beta1) * g
+    v *= adam.beta2
+    v += (1.0 - adam.beta2) * np.square(g)
+    step = adam.lr * (m / c1) / (np.sqrt(v / c2) + adam.eps)
+    offset = 0
+    for p in params:
+        p -= step[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
     return net

@@ -136,37 +136,53 @@ def ddqn_targets_batch(
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform minibatch sampling."""
+    """Fixed-capacity ring of transitions with uniform minibatch sampling.
+
+    Transitions are stored column-wise, one array per field, so a minibatch
+    is one fancy index per field. The arrays double as they fill, up to
+    `capacity` rows.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._data: list = []
+        self._size = 0
         self._write = 0
+        self._columns: tuple[np.ndarray, ...] = ()
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
+
+    def _reserve(self, state: np.ndarray) -> None:
+        rows = min(self.capacity, max(64, 2 * self._size))
+        width = np.shape(state)
+        fresh = (
+            np.zeros((rows, *width)),
+            np.zeros(rows, dtype=np.intp),
+            np.zeros(rows),
+            np.zeros((rows, *width)),
+            np.zeros(rows, dtype=bool),
+        )
+        for new, old in zip(fresh, self._columns):
+            new[: self._size] = old[: self._size]
+        self._columns = fresh
 
     def push(self, state, action, reward, next_state, done) -> None:
-        item = (state, action, reward, next_state, done)
-        if len(self._data) < self.capacity:
-            self._data.append(item)
-        else:
-            self._data[self._write] = item
+        if not self._columns or self._write == len(self._columns[0]) < self.capacity:
+            self._reserve(state)
+        for column, value in zip(self._columns, (state, action, reward, next_state, done)):
+            column[self._write] = value
+        self._size = max(self._size, self._write + 1)
         self._write = (self._write + 1) % self.capacity
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform without replacement within the minibatch."""
-        if batch_size > len(self._data):
+        """Uniform without replacement within the minibatch; returns
+        (states, actions, rewards, next_states, dones)."""
+        if batch_size > self._size:
             raise ValueError("not enough transitions to sample")
-        idx = rng.choice(len(self._data), size=batch_size, replace=False)
-        states = np.stack([self._data[i][0] for i in idx])
-        actions = np.array([self._data[i][1] for i in idx], dtype=np.intp)
-        rewards = np.array([self._data[i][2] for i in idx], dtype=np.float64)
-        next_states = np.stack([self._data[i][3] for i in idx])
-        dones = np.array([self._data[i][4] for i in idx], dtype=bool)
-        return states, actions, rewards, next_states, dones
+        idx = rng.choice(self._size, size=batch_size, replace=False)
+        return tuple(column[idx] for column in self._columns)
 
 
 def save_checkpoint(path: str, net: QNetwork, train_steps: int, config_echo: dict) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrivals import ArrivalProcess
+from .arrivals import ArrivalProcess, arrival_opportunity
 from .geography import District, Point, distance, sample_destinations, travel_time_slots
 
 IDLE_FREE = -1  # `free` of a drone that is idle
@@ -124,7 +124,8 @@ def step_slot(state: SimState) -> tuple[list[int], list[int]]:
     arrived = [0] * d
     for i, proc in enumerate(state.processes):
         arng = state.arrival_rngs[i]
-        size = proc.draw_batch(t, arng)
+        # no truck, and no draw, off the opportunity slots
+        size = proc.draw_batch(t, arng) if arrival_opportunity(t, proc.truck_interval) else 0
         if size:
             arrived[i] = size
             region = district.regions[i]

@@ -81,6 +81,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     reward_params: RewardParams = scenario.reward
     epoch_slots = reward_params.epoch_slots
     bounds = scenario.queue_bounds
+    bound_column = np.asarray(bounds)[:, None]
 
     master = np.random.SeedSequence(seed)
     agents: list[_Agent] = []
@@ -122,11 +123,10 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
         over_ge = 0
         steps = 0
         eps = epsilon_at(global_step, sched)
+        encoded = [encode_state(*observe(state, pdc)) for pdc in range(1, d + 1)]
 
         for _ in range(cfg.max_steps_per_episode):
             eps = epsilon_at(global_step, sched)
-            obs = [observe(state, pdc) for pdc in range(1, d + 1)]
-            encoded = [encode_state(n, q) for n, q in obs]
             actions = [
                 select_action(agent.net, enc, eps, agent.action_rng)
                 for agent, enc in zip(agents, encoded)
@@ -136,13 +136,12 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
             held = [int(state.home_counts[pdc]) for pdc in range(1, d + 1)]
 
             saturated = bool((q_window > cfg.saturation_cutoff).any())
-            next_obs = [observe(state, pdc) for pdc in range(1, d + 1)]
-            next_encoded = [encode_state(n, q) for n, q in next_obs]
+            next_encoded = [encode_state(*observe(state, pdc)) for pdc in range(1, d + 1)]
             for i, agent in enumerate(agents):
                 r = compute_reward(q_window[i], bounds[i], held[i], reward_params)
                 reward_total += r
                 agent.buffer.push(encoded[i], actions[i], r, next_encoded[i], saturated)
-            over_ge += int((q_window >= np.asarray(bounds)[:, None]).sum())
+            over_ge += int((q_window >= bound_column).sum())
 
             for agent in agents:
                 if len(agent.buffer) >= learn_after:
@@ -154,6 +153,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
                     grads_w, grads_b = batch_gradient(agent.net, states, acts, targets)
                     adam_step(agent.adam, agent.net, grads_w, grads_b)
 
+            encoded = next_encoded
             global_step += 1
             steps += 1
             if saturated:

@@ -164,3 +164,29 @@ def test_adam_rejects_mismatched_gradients():
     adam = init_adam(net)
     with pytest.raises(ValueError):
         adam_step(adam, net, [np.zeros((3, 3))], [np.zeros(3)])
+
+
+def test_adam_matches_per_parameter_long_hand_bit_for_bit():
+    # the moments live in one flat vector; each parameter must still move
+    # exactly as a per-array Adam moves it
+    rng = np.random.default_rng(8)
+    net = init_network([5, 4, 3], rng)
+    ref = copy_network(net)
+    adam = init_adam(net, lr=0.01)
+    params = [*ref.weights, *ref.biases]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+    for t in range(1, 6):
+        xs = rng.random((4, 5))
+        gw, gb = batch_gradient(net, xs, rng.integers(3, size=4), rng.random(4))
+        adam_step(adam, net, gw, gb)
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, m, v in zip(params, [*gw, *gb], ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        for got, want in zip([*net.weights, *net.biases], params):
+            assert np.array_equal(got, want)

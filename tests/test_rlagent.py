@@ -166,7 +166,7 @@ def test_replay_buffer_ring_overwrite():
     for k in range(5):
         buf.push(s, k % 3, float(k), s, False)
     assert len(buf) == 3
-    rewards = {item[2] for item in buf._data}
+    rewards = set(buf.sample(3, np.random.default_rng(0))[2].tolist())
     assert rewards == {2.0, 3.0, 4.0}  # 0 and 1 were overwritten first
     with pytest.raises(ValueError):
         ReplayBuffer(0)
@@ -184,6 +184,21 @@ def test_replay_sample_without_replacement():
     assert dones.dtype == bool
     with pytest.raises(ValueError):
         buf.sample(9, rng)
+
+
+def test_replay_buffer_keeps_rows_across_growth_and_wrap():
+    # storage grows from 64 rows to the capacity of 100, then the ring wraps
+    buf = ReplayBuffer(capacity=100)
+    for k in range(150):
+        buf.push(encode_state(k % 7, k), k % 3, float(k), encode_state(0, k), k % 2 == 0)
+    assert len(buf) == 100
+    states, actions, rewards, next_states, dones = buf.sample(100, np.random.default_rng(1))
+    assert sorted(rewards.tolist()) == [float(k) for k in range(50, 150)]
+    for s, a, r, s2, done in zip(states, actions, rewards, next_states, dones):
+        k = int(r)
+        assert decode_state(s) == (k % 7, k)
+        assert decode_state(s2) == (0, k)
+        assert (int(a), bool(done)) == (k % 3, k % 2 == 0)
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
