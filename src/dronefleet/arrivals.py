@@ -1,17 +1,19 @@
-"""Truck arrival processes feeding each distribution center.
+"""Truck arrivals feeding each distribution center.
 
 Trucks can show up only at fixed opportunity slots (every `truck_interval`
-minutes). Whether one shows up is a coin flip whose probability depends on
-the process: constant (Bernoulli), square-wave (time-varying), or driven by
-a two-phase Markov chain (Markov-modulated). A truck that arrives unloads a
+minutes). Whether one shows up is a coin flip whose probability is set by a
+rate rule: constant (Bernoulli), a square wave (time-varying), or a
+two-phase Markov chain (Markov-modulated). A truck that arrives unloads a
 whole batch of packages at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+RATE_RULES = ("constant", "square", "markov")
 
 
 def arrival_opportunity(t: int, truck_interval: int) -> bool:
@@ -21,129 +23,74 @@ def arrival_opportunity(t: int, truck_interval: int) -> bool:
     return t % truck_interval == 0
 
 
-def mmb_phase_step(
-    is_high: bool, p_high_to_low: float, p_low_to_high: float, rng: np.random.Generator
-) -> bool:
-    """One transition of the two-phase modulating chain."""
-    if is_high:
-        return not (rng.random() < p_high_to_low)
-    return rng.random() < p_low_to_high
-
-
 @dataclass
-class BatchSpec:
-    """Batch sizes are integer-uniform on [mean - half_width, mean + half_width]."""
+class ArrivalProcess:
+    """Trucks at one distribution center. On each opportunity slot a truck
+    shows up with probability p_high in the high phase and p_low in the
+    low one; the rule decides the phase:
 
-    mean: int
-    half_width: int
+    - constant: always high;
+    - square: `period` slots high, then `period` low, repeating;
+    - markov: a chain that starts high and leaves its phase with
+      p_high_to_low or p_low_to_high. By default it is stepped once per
+      slot; with per_slot_phase False it steps once per truck opportunity,
+      which stretches mean phase sojourns by the truck interval.
 
-    def __post_init__(self):
-        if self.half_width < 0 or self.mean - self.half_width < 0:
-            raise ValueError("batch support must be nonnegative")
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.mean - self.half_width, self.mean + self.half_width, endpoint=True))
-
-
-@dataclass
-class BernoulliArrivals:
-    p: float
-    truck_interval: int
-    batch: BatchSpec
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("arrival probability outside [0, 1]")
-
-    def rate_at(self, t: int) -> float:
-        return self.p
-
-    def advance_slot(self, t: int, rng: np.random.Generator) -> None:
-        pass
-
-    def draw_batch(self, t: int, rng: np.random.Generator) -> int:
-        return _draw(self, t, rng)
-
-
-@dataclass
-class TimeVaryingArrivals:
-    """Square wave: `period` slots at p_high, then `period` at p_low, repeating."""
-
-    p_high: float
-    p_low: float
-    period: int
-    truck_interval: int
-    batch: BatchSpec
-
-    def __post_init__(self):
-        if not (0.0 <= self.p_low <= 1.0 and 0.0 <= self.p_high <= 1.0):
-            raise ValueError("arrival probability outside [0, 1]")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    def rate_at(self, t: int) -> float:
-        return self.p_high if (t % (2 * self.period)) < self.period else self.p_low
-
-    def advance_slot(self, t: int, rng: np.random.Generator) -> None:
-        pass
-
-    def draw_batch(self, t: int, rng: np.random.Generator) -> int:
-        return _draw(self, t, rng)
-
-
-@dataclass
-class MarkovModulatedArrivals:
-    """Phase chain starts High; by default it is stepped once per slot.
-
-    With per_slot_phase False the chain instead steps once per truck
-    opportunity, which stretches mean phase sojourns by the truck interval.
+    Batch sizes are integer-uniform on
+    [batch_mean - batch_half_width, batch_mean + batch_half_width].
     """
 
-    p_high: float
-    p_low: float
-    p_high_to_low: float
-    p_low_to_high: float
     truck_interval: int
-    batch: BatchSpec
+    batch_mean: int
+    batch_half_width: int
+    p_high: float
+    p_low: float = 0.0
+    rule: str = "constant"
+    period: int = 0
+    p_high_to_low: float = 0.0
+    p_low_to_high: float = 0.0
     per_slot_phase: bool = True
-    is_high: bool = field(default=True)
+    is_high: bool = True
 
     def __post_init__(self):
+        if self.rule not in RATE_RULES:
+            raise ValueError(f"unknown rate rule {self.rule!r}")
+        if self.truck_interval <= 0:
+            raise ValueError("truck interval must be positive")
+        if self.batch_half_width < 0 or self.batch_mean - self.batch_half_width < 0:
+            raise ValueError("batch support must be nonnegative")
         for p in (self.p_high, self.p_low, self.p_high_to_low, self.p_low_to_high):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probability outside [0, 1]")
+        if self.rule == "square" and self.period <= 0:
+            raise ValueError("period must be positive")
 
     def rate_at(self, t: int) -> float:
-        return self.p_high if self.is_high else self.p_low
+        if self.rule == "square":
+            high = (t % (2 * self.period)) < self.period
+        else:
+            high = self.is_high
+        return self.p_high if high else self.p_low
 
     def advance_slot(self, t: int, rng: np.random.Generator) -> None:
         # Stepped after the slot's draws, so the initial phase governs t = 0.
-        if self.per_slot_phase or arrival_opportunity(t, self.truck_interval):
-            self.is_high = mmb_phase_step(self.is_high, self.p_high_to_low, self.p_low_to_high, rng)
+        if self.rule != "markov":
+            return
+        if self.per_slot_phase or t % self.truck_interval == 0:
+            if self.is_high:
+                self.is_high = not (rng.random() < self.p_high_to_low)
+            else:
+                self.is_high = rng.random() < self.p_low_to_high
 
     def draw_batch(self, t: int, rng: np.random.Generator) -> int:
-        return _draw(self, t, rng)
+        """Batch size landing at slot t (0 when no truck shows up).
 
-
-ArrivalProcess = BernoulliArrivals | TimeVaryingArrivals | MarkovModulatedArrivals
-
-
-def current_rate(process: ArrivalProcess, t: int) -> float:
-    return process.rate_at(t)
-
-
-def draw_batch(process: ArrivalProcess, t: int, rng: np.random.Generator) -> int:
-    """Batch size landing at slot t (0 when no truck shows up).
-
-    Consumes no randomness outside opportunity slots, so traces are
-    reproducible slot for slot.
-    """
-    return process.draw_batch(t, rng)
-
-
-def _draw(process: ArrivalProcess, t: int, rng: np.random.Generator) -> int:
-    if not arrival_opportunity(t, process.truck_interval):
+        Consumes no randomness outside opportunity slots, so traces are
+        reproducible slot for slot.
+        """
+        if not arrival_opportunity(t, self.truck_interval):
+            return 0
+        if rng.random() < self.rate_at(t):
+            mean, half = self.batch_mean, self.batch_half_width
+            return int(rng.integers(mean - half, mean + half, endpoint=True))
         return 0
-    if rng.random() < process.rate_at(t):
-        return process.batch.draw(rng)
-    return 0

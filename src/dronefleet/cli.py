@@ -33,30 +33,45 @@ from .training import train
 logger = logging.getLogger(__name__)
 
 
-def _default_out(command: str) -> str:
-    root = os.environ.get("DRONEFLEET_OUT", "runs")
-    return os.path.join(root, command)
+def _setup(args, command: str, pattern: str | None = None, algorithms=None):
+    """Check the --horizon and --seed(s) overrides, load the config (the
+    bundled `pattern` under compare) and apply them, make the output
+    directory, write the resolved config there, load the checkpoints when
+    one of `algorithms` (default: the config's controller) is rl, and pick
+    the seeds. Returns (cfg, out, seeds, nets)."""
+    horizon = getattr(args, "horizon", None)
+    seed = getattr(args, "seed", None)
+    seeds = [seed] if seed is not None else getattr(args, "seeds", None)
+    if horizon is not None and horizon < 1:
+        raise ConfigError("--horizon must be >= 1")
+    if seeds and min(seeds) < 0:
+        raise ConfigError("--seed and --seeds must be >= 0")
 
-
-def _prepare_out(args, command: str) -> str:
-    out = args.out or _default_out(command)
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_resolved(out: str, cfg: ExperimentConfig, name: str = "resolved_config.json") -> None:
-    with open(os.path.join(out, name), "w") as fh:
-        json.dump(cfg.resolved_dict(), fh, indent=2, sort_keys=True)
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "horizon", None):
-        cfg = replace(cfg, horizon_slots=args.horizon)
+    cfg = load_experiment_config(pattern or args.config)
+    if horizon is not None:
+        cfg = replace(cfg, horizon_slots=horizon)
         if cfg.warmup_slots >= cfg.horizon_slots:
             cfg = replace(cfg, warmup_slots=0)
     if getattr(args, "n_uavs", None) is not None:
         cfg = cfg.with_fleet(args.n_uavs)
-    return cfg
+
+    out = args.out or os.path.join(os.environ.get("DRONEFLEET_OUT", "runs"), command)
+    os.makedirs(out, exist_ok=True)
+    resolved = f"resolved_{pattern}.json" if pattern else "resolved_config.json"
+    with open(os.path.join(out, resolved), "w") as fh:
+        json.dump(cfg.resolved_dict(), fh, indent=2, sort_keys=True)
+
+    nets = None
+    if "rl" in (algorithms if algorithms is not None else [cfg.controller]):
+        if not args.checkpoints:
+            raise CheckpointError(f"{command} of the rl controller needs --checkpoints")
+        nets = []
+        for pdc in range(1, cfg.district.num_pdcs + 1):
+            path = os.path.join(args.checkpoints, pattern or "", f"agent_pdc{pdc}.json")
+            if not os.path.exists(path):
+                raise CheckpointError(f"missing checkpoint {path}")
+            nets.append(load_checkpoint(path)[0])
+    return cfg, out, seeds or cfg.seeds, nets
 
 
 def _train_one_seed(job):
@@ -81,11 +96,7 @@ def _write_curve(path: str, curve: list) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = load_experiment_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    seeds = args.seeds or cfg.seeds
-    out = _prepare_out(args, "train")
-    _write_resolved(out, cfg)
+    cfg, out, seeds, _ = _setup(args, "train", algorithms=())
     curves_dir = os.path.join(out, "curves")
     ckpt_dir = os.path.join(out, "checkpoints")
     os.makedirs(curves_dir, exist_ok=True)
@@ -132,17 +143,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_agents(ckpt_dir: str, num_pdcs: int):
-    nets = []
-    for pdc in range(1, num_pdcs + 1):
-        path = os.path.join(ckpt_dir, f"agent_pdc{pdc}.json")
-        if not os.path.exists(path):
-            raise CheckpointError(f"missing checkpoint {path}")
-        net, _, _ = load_checkpoint(path)
-        nets.append(net)
-    return nets
-
-
 def _run_report(cfg: ExperimentConfig, controller, seed: int, trace_path=None):
     traces = run_policy(
         cfg.district,
@@ -158,19 +158,9 @@ def _run_report(cfg: ExperimentConfig, controller, seed: int, trace_path=None):
 
 
 def cmd_eval(args) -> int:
-    cfg = load_experiment_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    out = _prepare_out(args, "eval")
-    _write_resolved(out, cfg)
-    nets = None
-    if cfg.controller == "rl":
-        if not args.checkpoints:
-            raise CheckpointError("eval of the rl controller needs --checkpoints")
-        nets = _load_agents(args.checkpoints, cfg.district.num_pdcs)
-    controller = cfg.build_controller(nets)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    cfg, out, seeds, nets = _setup(args, "eval")
     trace_path = os.path.join(out, "trace.csv") if args.trace else None
-    report = _run_report(cfg, controller, seed, trace_path)
+    report = _run_report(cfg, cfg.build_controller(nets), seeds[0], trace_path)
 
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -186,23 +176,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_experiment_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    out = _prepare_out(args, "sweep")
-    _write_resolved(out, cfg)
-    nets = None
-    if cfg.controller == "rl":
-        if not args.checkpoints:
-            raise CheckpointError("sweep of the rl controller needs --checkpoints")
-        nets = _load_agents(args.checkpoints, cfg.district.num_pdcs)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-
+    cfg, out, seeds, nets = _setup(args, "sweep")
     d = cfg.district.num_pdcs
     rows = []
     for total in args.fleet_sizes:
         run_cfg = cfg.with_fleet(total)
-        controller = run_cfg.build_controller(nets)
-        report = _run_report(run_cfg, controller, seed)
+        report = _run_report(run_cfg, run_cfg.build_controller(nets), seeds[0])
         rows.append((total, report))
         logger.info("N=%d p_max=%.4f n_mean=%.1f", total, report.p_max, report.n_mean)
 
@@ -221,25 +200,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _prepare_out(args, "compare")
-    reports_dir = os.path.join(out, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
     rows = []
     for pattern in args.patterns:
-        cfg = load_experiment_config(pattern)
-        cfg = _apply_overrides(cfg, args)
-        _write_resolved(out, cfg, name=f"resolved_{pattern}.json")
-        seed = args.seed if args.seed is not None else cfg.seeds[0]
+        cfg, out, seeds, nets = _setup(args, "compare", pattern, args.algorithms)
+        reports_dir = os.path.join(out, "reports")
+        os.makedirs(reports_dir, exist_ok=True)
         for algorithm in args.algorithms:
-            nets = None
-            if algorithm == "rl":
-                if not args.checkpoints:
-                    raise CheckpointError("compare with the rl algorithm needs --checkpoints")
-                nets = _load_agents(
-                    os.path.join(args.checkpoints, pattern), cfg.district.num_pdcs
-                )
             controller = replace(cfg, controller=algorithm).build_controller(nets)
-            report = _run_report(cfg, controller, seed)
+            report = _run_report(cfg, controller, seeds[0])
             rows.append((algorithm, pattern, report))
             with open(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), "w") as fh:
                 json.dump(report.to_dict(), fh, indent=2)
@@ -252,6 +220,14 @@ def cmd_compare(args) -> int:
             writer.writerow(csv_row(algorithm, pattern, report))
     print(f"compared {len(rows)} cells; table under {out}")
     return 0
+
+
+def _add_run_flags(p, checkpoints_help: str) -> None:
+    """The flags eval, sweep and compare share."""
+    p.add_argument("--checkpoints", help=checkpoints_help)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--horizon", type=int, help="override horizon in slots")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,20 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate one controller over a long horizon")
     p.add_argument("--config", required=True, help=config_help)
-    p.add_argument("--checkpoints", help="directory with agent_pdc*.json files")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--horizon", type=int, help="override horizon in slots")
+    _add_run_flags(p, "directory with agent_pdc*.json files")
     p.add_argument("--n-uavs", type=int, help="override fleet size")
     p.add_argument("--trace", action="store_true", help="also write a per-slot trace CSV")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="evaluate across fleet sizes")
     p.add_argument("--config", required=True, help=config_help)
-    p.add_argument("--checkpoints", help="directory with agent_pdc*.json files")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--horizon", type=int, help="override horizon in slots")
+    _add_run_flags(p, "directory with agent_pdc*.json files")
     p.add_argument(
         "--n-uavs",
         dest="fleet_sizes",
@@ -305,12 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithms", nargs="+", default=list(CONTROLLERS), choices=CONTROLLERS
     )
-    p.add_argument(
-        "--checkpoints", help="directory with per-pattern subdirectories of checkpoints"
-    )
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--horizon", type=int, help="override horizon in slots")
+    _add_run_flags(p, "directory with per-pattern subdirectories of checkpoints")
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -11,17 +11,12 @@ import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .arrivals import (
-    BatchSpec,
-    BernoulliArrivals,
-    MarkovModulatedArrivals,
-    TimeVaryingArrivals,
-)
+from .arrivals import ArrivalProcess
 from .controllers import (
     QlController,
     StaticController,
     ThresholdController,
-    static_allocation,
+    largest_remainder,
 )
 from .geography import District, builtin_district, load_district
 from .rlagent import GreedyPolicyController, RewardParams
@@ -39,7 +34,8 @@ class ConfigError(Exception):
 class ExperimentConfig:
     district: District
     district_source: str
-    arrival: dict
+    arrival: dict  # the section as given, defaults filled in
+    arrival_args: list  # ArrivalProcess arguments, one dict per PDC
     controller: str
     reward: RewardParams
     queue_bounds: list
@@ -52,12 +48,10 @@ class ExperimentConfig:
     initial_allocation: object = "static"  # "static" or explicit per-PDC counts
     raw: dict = field(default_factory=dict)
 
-    def region_weights(self) -> list:
-        return [r.weight for r in self.district.regions]
-
     def initial_allocation_counts(self) -> list:
         if self.initial_allocation == "static":
-            return static_allocation(self.region_weights(), self.district.total_uavs)
+            weights = [r.weight for r in self.district.regions]
+            return largest_remainder(weights, self.district.total_uavs)
         return list(self.initial_allocation)
 
     def with_fleet(self, total_uavs: int) -> "ExperimentConfig":
@@ -69,36 +63,7 @@ class ExperimentConfig:
 
     def make_processes(self) -> list:
         """Fresh arrival process per PDC (the modulated one carries state)."""
-        arr = self.arrival
-        interval = arr["truck_interval_mins"]
-        out = []
-        for mean in arr["batch_means"]:
-            batch = BatchSpec(mean=mean, half_width=arr["batch_half_width"])
-            if arr["type"] == "bernoulli":
-                out.append(BernoulliArrivals(p=arr["p"], truck_interval=interval, batch=batch))
-            elif arr["type"] == "tvb":
-                out.append(
-                    TimeVaryingArrivals(
-                        p_high=arr["p_high"],
-                        p_low=arr["p_low"],
-                        period=arr["period_mins"],
-                        truck_interval=interval,
-                        batch=batch,
-                    )
-                )
-            else:
-                out.append(
-                    MarkovModulatedArrivals(
-                        p_high=arr["p_high"],
-                        p_low=arr["p_low"],
-                        p_high_to_low=arr["p_high_to_low"],
-                        p_low_to_high=arr["p_low_to_high"],
-                        truck_interval=interval,
-                        batch=batch,
-                        per_slot_phase=arr["per_slot_phase"],
-                    )
-                )
-        return out
+        return [ArrivalProcess(**args) for args in self.arrival_args]
 
     def build_controller(self, nets=None):
         if self.controller == "static":
@@ -145,43 +110,67 @@ _ARRIVAL_DEFAULTS = {
 _TRAIN_KEYS = {f for f in TrainConfig.__dataclass_fields__}
 
 
-def _validate_probability(doc: dict, key: str) -> float:
+# arrival type -> the rate rule of its process
+_RATE_RULES = {"bernoulli": "constant", "tvb": "square", "mmb": "markov"}
+
+
+def _number(value, name: str, kind=float, low=None, high=None):
+    """`value` read as `kind` and range-checked, or a ConfigError naming `name`."""
     try:
-        p = float(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"arrival.{key} missing or not a number") from exc
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"arrival.{key} must lie in [0, 1]")
-    return p
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} missing or not a number: {value!r}") from exc
+    # written so that NaN fails every bound
+    if low is not None and not x >= low:
+        raise ConfigError(f"{name} must be >= {low}")
+    if high is not None and not x <= high:
+        raise ConfigError(f"{name} must be <= {high}")
+    return x
 
 
-def _parse_arrival(doc: dict, num_pdcs: int) -> dict:
+def _numbers(values, name: str, kind=float, **bounds) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list")
+    return [_number(v, f"{name}[{i}]", kind, **bounds) for i, v in enumerate(values)]
+
+
+def _probability(doc: dict, key: str) -> float:
+    return _number(doc.get(key), f"arrival.{key}", low=0.0, high=1.0)
+
+
+def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
+    """The section with defaults filled in, and each PDC's process arguments."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ConfigError("arrival section missing")
     arr = dict(_ARRIVAL_DEFAULTS)
     arr.update(doc)
-    if arr["type"] not in ("bernoulli", "tvb", "mmb"):
+    if not isinstance(arr["type"], str) or arr["type"] not in _RATE_RULES:
         raise ConfigError(f"unknown arrival type {arr['type']!r}")
-    means = arr.get("batch_means")
-    if not isinstance(means, list) or len(means) != num_pdcs:
+    rule = _RATE_RULES[arr["type"]]
+    half = _number(arr["batch_half_width"], "arrival.batch_half_width", int, low=0)
+    means = _numbers(arr.get("batch_means"), "arrival.batch_means", int, low=half)
+    if len(means) != num_pdcs:
         raise ConfigError("arrival.batch_means must list one mean per PDC")
-    if any(m - arr["batch_half_width"] < 0 for m in means):
-        raise ConfigError("batch_half_width larger than a batch mean")
-    if arr["truck_interval_mins"] < 1:
-        raise ConfigError("truck_interval_mins must be >= 1")
-    if arr["type"] == "bernoulli":
-        _validate_probability(arr, "p")
+    args = {
+        "truck_interval": _number(
+            arr["truck_interval_mins"], "arrival.truck_interval_mins", int, low=1
+        ),
+        "batch_half_width": half,
+        "rule": rule,
+        "per_slot_phase": arr["per_slot_phase"],
+    }
+    if rule == "constant":
+        args["p_high"] = _probability(arr, "p")
     else:
-        _validate_probability(arr, "p_high")
-        _validate_probability(arr, "p_low")
-        if arr["type"] == "tvb":
-            if int(arr.get("period_mins", 0)) < 1:
-                raise ConfigError("arrival.period_mins must be >= 1")
-            arr["period_mins"] = int(arr["period_mins"])
-        else:
-            _validate_probability(arr, "p_high_to_low")
-            _validate_probability(arr, "p_low_to_high")
-    return arr
+        args["p_high"] = _probability(arr, "p_high")
+        args["p_low"] = _probability(arr, "p_low")
+    if rule == "square":
+        period = _number(arr.get("period_mins"), "arrival.period_mins", int, low=1)
+        args["period"] = arr["period_mins"] = period
+    if rule == "markov":
+        args["p_high_to_low"] = _probability(arr, "p_high_to_low")
+        args["p_low_to_high"] = _probability(arr, "p_low_to_high")
+    return arr, [dict(args, batch_mean=mean) for mean in means]
 
 
 def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -199,7 +188,7 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
         raise ConfigError(f"bad district document: {exc}") from exc
 
     d = district.num_pdcs
-    arrival = _parse_arrival(doc.get("arrival"), d)
+    arrival, arrival_args = _parse_arrival(doc.get("arrival"), d)
 
     controller = doc.get("controller", "rl")
     if controller not in CONTROLLERS:
@@ -207,22 +196,21 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
 
     reward_doc = doc.get("reward", {})
     reward = RewardParams(
-        lam=float(reward_doc.get("lam", 4.0)),
-        violation_budget=float(reward_doc.get("violation_budget", 0.1)),
-        epoch_slots=int(reward_doc.get("epoch_slots", 60)),
+        lam=_number(reward_doc.get("lam", 4.0), "reward.lam"),
+        violation_budget=_number(
+            reward_doc.get("violation_budget", 0.1), "reward.violation_budget"
+        ),
+        epoch_slots=_number(reward_doc.get("epoch_slots", 60), "reward.epoch_slots", int, low=1),
     )
-    if reward.epoch_slots < 1:
-        raise ConfigError("reward.epoch_slots must be >= 1")
 
-    bounds = doc.get("queue_bounds")
-    if not isinstance(bounds, list) or len(bounds) != d:
+    bounds = _numbers(doc.get("queue_bounds"), "queue_bounds")
+    if len(bounds) != d:
         raise ConfigError("queue_bounds must list one bound per PDC")
-    bounds = [float(b) for b in bounds]
-    if any(b <= 0 for b in bounds):
+    if not all(b > 0 for b in bounds):
         raise ConfigError("queue bounds must be positive")
 
     if doc.get("total_uavs") is not None:
-        district = replace(district, total_uavs=int(doc["total_uavs"]))
+        district = replace(district, total_uavs=_number(doc["total_uavs"], "total_uavs", int))
     if district.total_uavs < 1:
         raise ConfigError("total_uavs must be >= 1")
 
@@ -239,35 +227,34 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
 
     alloc = doc.get("initial_allocation", "static")
     if alloc != "static":
-        if not isinstance(alloc, list) or len(alloc) != d:
+        alloc = _numbers(alloc, "initial_allocation", int, low=0)
+        if len(alloc) != d:
             raise ConfigError("initial_allocation must be 'static' or one count per PDC")
-        alloc = [int(a) for a in alloc]
-        if any(a < 0 for a in alloc) or sum(alloc) > district.total_uavs:
+        if sum(alloc) > district.total_uavs:
             raise ConfigError("initial_allocation out of range")
 
-    seeds = doc.get("seeds", [1, 2, 3])
-    if not isinstance(seeds, list) or not seeds:
+    seeds = _numbers(doc.get("seeds", [1, 2, 3]), "seeds", int, low=0)
+    if not seeds:
         raise ConfigError("seeds must be a nonempty list")
 
-    horizon = int(doc.get("horizon_slots", 100_000))
-    warmup = int(doc.get("warmup_slots", 1_000))
-    if horizon < 1 or warmup < 0 or warmup >= horizon:
+    horizon = _number(doc.get("horizon_slots", 100_000), "horizon_slots", int, low=1)
+    warmup = _number(doc.get("warmup_slots", 1_000), "warmup_slots", int, low=0)
+    if warmup >= horizon:
         raise ConfigError("need 0 <= warmup_slots < horizon_slots")
 
-    ql_mult = int(doc.get("ql_update_multiple", 5))
-    if ql_mult < 1:
-        raise ConfigError("ql_update_multiple must be >= 1")
+    ql_mult = _number(doc.get("ql_update_multiple", 5), "ql_update_multiple", int, low=1)
 
     return ExperimentConfig(
         district=district,
         district_source=str(district_ref),
         arrival=arrival,
+        arrival_args=arrival_args,
         controller=controller,
         reward=reward,
         queue_bounds=bounds,
-        delta=int(doc.get("delta", 5)),
+        delta=_number(doc.get("delta", 5), "delta", int),
         train=train,
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
         horizon_slots=horizon,
         warmup_slots=warmup,
         ql_update_multiple=ql_mult,

@@ -42,12 +42,6 @@ def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
     return base
 
 
-def static_allocation(weights: Sequence[float], total: int) -> list[int]:
-    """Fixed proportional split used as the static baseline and as the
-    initial allocation for every controller."""
-    return largest_remainder(weights, total)
-
-
 def threshold_decide(queue_len: int, queue_bound: float, delta: int) -> int:
     """Shed below half the bound, reinforce at one-and-a-half times it."""
     if queue_len < 0.5 * queue_bound:

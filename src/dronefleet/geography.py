@@ -87,12 +87,6 @@ def sample_destinations(region: Region, rng: np.random.Generator, count: int) ->
     return rng.uniform(lo[idx], hi[idx])
 
 
-def sample_destination(region: Region, rng: np.random.Generator) -> Point:
-    """Draw one delivery point: sub-region by weight, then uniform inside it."""
-    pt = sample_destinations(region, rng, 1)[0]
-    return (float(pt[0]), float(pt[1]))
-
-
 def district_from_dict(doc: dict) -> District:
     try:
         regions = []

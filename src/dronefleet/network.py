@@ -94,13 +94,6 @@ def batch_gradient(
     return grads_w, grads_b
 
 
-def gradient(net: QNetwork, x: np.ndarray, action: int, target: float) -> tuple[list, list]:
-    """Single-sample gradients of (target - Q(x)[action])^2."""
-    return batch_gradient(
-        net, np.asarray(x, dtype=np.float64)[None, :], np.array([action]), np.array([target])
-    )
-
-
 @dataclass
 class AdamState:
     """Adam moments for every parameter of one network, flattened in the

@@ -47,16 +47,6 @@ def encode_state(n: int, q: int) -> np.ndarray:
     return np.array(bits, dtype=np.float64)
 
 
-def decode_state(encoded: np.ndarray) -> tuple[int, int]:
-    """Inverse of encode_state; returns (n, q)."""
-    vec = np.asarray(encoded)
-    if vec.shape != (STATE_SIZE,):
-        raise ValueError("bad encoded state shape")
-    q = sum(1 << i for i in range(QUEUE_BITS) if vec[i] > 0.5)
-    n = sum(1 << i for i in range(COUNT_BITS) if vec[QUEUE_BITS + i] > 0.5)
-    return n, q
-
-
 @dataclass(frozen=True)
 class RewardParams:
     lam: float
@@ -106,22 +96,6 @@ def select_action(net: QNetwork, encoded: np.ndarray, eps: float, rng: np.random
     return int(np.argmax(forward(net, encoded)))
 
 
-def ddqn_target(
-    reward: float,
-    next_encoded: np.ndarray,
-    done: bool,
-    online: QNetwork,
-    target: QNetwork,
-    gamma: float,
-) -> float:
-    """Double-DQN target: the online net picks the next action, the target
-    net prices it. Terminal transitions take the bare reward."""
-    if done:
-        return float(reward)
-    best = int(np.argmax(forward(online, next_encoded)))
-    return float(reward + gamma * forward(target, next_encoded)[best])
-
-
 def ddqn_targets_batch(
     rewards: np.ndarray,
     next_encoded: np.ndarray,
@@ -130,6 +104,8 @@ def ddqn_targets_batch(
     target: QNetwork,
     gamma: float,
 ) -> np.ndarray:
+    """Double-DQN targets: the online net picks each next action, the target
+    net prices it. Terminal transitions take the bare reward."""
     best = np.argmax(forward(online, next_encoded), axis=1)
     q_next = forward(target, next_encoded)[np.arange(len(best)), best]
     return rewards + gamma * q_next * (~dones)

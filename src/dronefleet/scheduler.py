@@ -40,7 +40,7 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
     start first). A PDC holding fewer movable UAVs than it owes simply
     donates everything it has.
     """
-    d = state.num_pdcs()
+    d = state.district.num_pdcs
     if len(requests) != d:
         raise ValueError("one request per PDC")
     district = state.district
@@ -103,7 +103,7 @@ def assign_donors(
     rng.integers call each), so no PDC is systematically served first.
     """
     district = state.district
-    needy = [pdc for pdc in range(1, state.num_pdcs() + 1) if requests[pdc - 1] > 0]
+    needy = [pdc for pdc in range(1, district.num_pdcs + 1) if requests[pdc - 1] > 0]
     pool = list(donors)
     moves: list[tuple[int, int]] = []
     while needy and pool:

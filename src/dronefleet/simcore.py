@@ -49,9 +49,6 @@ class SimState:
     t: int = 0
     due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
 
-    def num_pdcs(self) -> int:
-        return self.district.num_pdcs
-
 
 def init_sim(
     district: District,
@@ -169,7 +166,7 @@ def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> Non
     for uid, target in moves:
         if not 0 <= uid < len(state.home):
             raise ValueError(f"unknown UAV id {uid}")
-        if not 0 <= target <= state.num_pdcs():
+        if not 0 <= target <= district.num_pdcs:
             raise ValueError(f"unknown home index {target}")
         old_home = state.home[uid]
         if state.free[uid] == IDLE_FREE:

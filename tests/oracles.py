@@ -10,7 +10,9 @@ from collections import deque
 
 import numpy as np
 
-from dronefleet.arrivals import BatchSpec, BernoulliArrivals
+from dronefleet.arrivals import ArrivalProcess
+from dronefleet.network import forward
+from dronefleet.rlagent import COUNT_BITS, QUEUE_BITS, STATE_SIZE
 from dronefleet.simcore import IDLE_FREE, SimState
 
 
@@ -57,7 +59,8 @@ def build_state(district, drones, t=0):
         else:
             idle_ids[drone["home"]].append(uid)
     procs = [
-        BernoulliArrivals(p=0.0, truck_interval=30, batch=BatchSpec(1, 0)) for _ in range(d)
+        ArrivalProcess(truck_interval=30, batch_mean=1, batch_half_width=0, p_high=0.0)
+        for _ in range(d)
     ]
     return SimState(
         district=district,
@@ -181,3 +184,23 @@ def random_fleet_instance(district, rng, max_uavs=14):
             drones.append(locked(home, free=t + int(rng.integers(1, 10)), t=t))  # relocating
     requests = [int(rng.integers(-3, 4)) for _ in range(d)]
     return build_state(district, drones, t=t), requests
+
+
+def decode_state(encoded):
+    """Inverse of rlagent.encode_state; returns (n, q)."""
+    vec = np.asarray(encoded)
+    if vec.shape != (STATE_SIZE,):
+        raise ValueError("bad encoded state shape")
+    q = sum(1 << i for i in range(QUEUE_BITS) if vec[i] > 0.5)
+    n = sum(1 << i for i in range(COUNT_BITS) if vec[QUEUE_BITS + i] > 0.5)
+    return n, q
+
+
+def ddqn_target(reward, next_encoded, done, online, target, gamma):
+    """Double-DQN target of one transition: the online net picks the next
+    action, the target net prices it. Terminal transitions take the bare
+    reward."""
+    if done:
+        return float(reward)
+    best = int(np.argmax(forward(online, next_encoded)))
+    return float(reward + gamma * forward(target, next_encoded)[best])

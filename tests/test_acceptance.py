@@ -19,30 +19,19 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 import dronefleet
-from dronefleet.arrivals import (
-    BatchSpec,
-    BernoulliArrivals,
-    MarkovModulatedArrivals,
-    TimeVaryingArrivals,
-    draw_batch,
-)
+from dronefleet.arrivals import ArrivalProcess
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController, ThresholdController
 from dronefleet.geography import builtin_district
 from dronefleet.metrics import summarize
 from dronefleet.network import QNetwork, batch_gradient, forward, init_network
-from dronefleet.rlagent import (
-    GreedyPolicyController,
-    RewardParams,
-    compute_reward,
-    ddqn_target,
-)
+from dronefleet.rlagent import GreedyPolicyController, RewardParams, compute_reward
 from dronefleet.runner import RunTraces, run_policy
 from dronefleet.scheduler import schedule
 from dronefleet.simcore import apply_allocation_moves, init_sim, step_slot
 from dronefleet.training import TrainConfig, train
 
-from oracles import random_fleet_instance, replay_schedule
+from oracles import ddqn_target, random_fleet_instance, replay_schedule
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -223,20 +212,19 @@ def test_criterion_4_scheduler_oracle_and_conservation(capsys):
 
 
 def test_criterion_5_arrival_statistics(capsys):
-    batch = BatchSpec(mean=55, half_width=15)
-    bern = BernoulliArrivals(p=0.25, truck_interval=30, batch=batch)
+    batch = {"truck_interval": 30, "batch_mean": 55, "batch_half_width": 15}
+    bern = ArrivalProcess(**batch, p_high=0.25)
     rng = np.random.default_rng(55)
-    hits = sum(draw_batch(bern, 30 * k, rng) > 0 for k in range(100_000))
+    hits = sum(bern.draw_batch(30 * k, rng) > 0 for k in range(100_000))
     freq = hits / 100_000
 
-    tvb = TimeVaryingArrivals(p_high=0.9, p_low=0.1, period=300, truck_interval=30, batch=batch)
+    tvb = ArrivalProcess(**batch, p_high=0.9, p_low=0.1, rule="square", period=300)
     phases_ok = all(
         tvb.rate_at(t) == (0.9 if (t % 600) < 300 else 0.1) for t in range(3 * 600)
     )
 
-    mmb = MarkovModulatedArrivals(
-        p_high=0.9, p_low=0.1, p_high_to_low=0.15, p_low_to_high=0.15,
-        truck_interval=30, batch=batch,
+    mmb = ArrivalProcess(
+        **batch, p_high=0.9, p_low=0.1, rule="markov", p_high_to_low=0.15, p_low_to_high=0.15,
     )
     high = 0
     for t in range(100_000):

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 
-from dronefleet.arrivals import (
-    BatchSpec,
-    BernoulliArrivals,
-    MarkovModulatedArrivals,
-    TimeVaryingArrivals,
-    arrival_opportunity,
-    current_rate,
-    draw_batch,
-    mmb_phase_step,
-)
+from dronefleet.arrivals import ArrivalProcess, arrival_opportunity
 
 
-def batch(mean=55, half_width=15):
-    return BatchSpec(mean=mean, half_width=half_width)
+def bernoulli(p, mean=55, half_width=15):
+    return ArrivalProcess(truck_interval=30, batch_mean=mean, batch_half_width=half_width, p_high=p)
+
+
+def mmb(p_high_to_low, p_low_to_high, per_slot_phase=True):
+    return ArrivalProcess(
+        truck_interval=30,
+        batch_mean=55,
+        batch_half_width=15,
+        p_high=0.9,
+        p_low=0.1,
+        rule="markov",
+        p_high_to_low=p_high_to_low,
+        p_low_to_high=p_low_to_high,
+        per_slot_phase=per_slot_phase,
+    )
 
 
 def test_opportunity_slots():
@@ -25,50 +30,54 @@ def test_opportunity_slots():
 
 
 def test_batch_support_is_closed_interval():
-    spec = batch(55, 15)
+    proc = bernoulli(1.0, 55, 15)
     rng = np.random.default_rng(0)
-    draws = {spec.draw(rng) for _ in range(5000)}
+    draws = {proc.draw_batch(0, rng) for _ in range(5000)}
     assert min(draws) == 40
     assert max(draws) == 70
     with pytest.raises(ValueError):
-        BatchSpec(mean=10, half_width=11)
+        bernoulli(1.0, mean=10, half_width=11)
 
 
 def test_degenerate_batch():
-    spec = BatchSpec(mean=7, half_width=0)
+    proc = bernoulli(1.0, mean=7, half_width=0)
     rng = np.random.default_rng(0)
-    assert all(spec.draw(rng) == 7 for _ in range(10))
+    assert all(proc.draw_batch(0, rng) == 7 for _ in range(10))
 
 
 def test_no_randomness_consumed_off_opportunity():
-    proc = BernoulliArrivals(p=0.5, truck_interval=30, batch=batch())
-    rng = np.random.default_rng(123)
-    for t in range(1, 30):
-        assert draw_batch(proc, t, rng) == 0
-    # the stream is untouched, so a fresh generator agrees at t=30
-    a = draw_batch(proc, 30, rng)
-    b = draw_batch(proc, 30, np.random.default_rng(123))
-    assert a == b
+    # the same holds under every rate rule, the chain's own step aside
+    square = ArrivalProcess(30, 55, 15, p_high=0.5, p_low=0.5, rule="square", period=300)
+    for proc in (bernoulli(0.5), square, mmb(0.5, 0.5)):
+        rng = np.random.default_rng(123)
+        for t in range(1, 30):
+            assert proc.draw_batch(t, rng) == 0
+        # the stream is untouched, so a fresh generator agrees at t=30
+        a = proc.draw_batch(30, rng)
+        b = proc.draw_batch(30, np.random.default_rng(123))
+        assert a == b
 
 
 def test_bernoulli_rate_and_validation():
-    proc = BernoulliArrivals(p=0.3, truck_interval=30, batch=batch())
-    assert current_rate(proc, 0) == 0.3
-    assert current_rate(proc, 12345) == 0.3
+    proc = bernoulli(0.3)
+    assert proc.rate_at(0) == 0.3
+    assert proc.rate_at(12345) == 0.3
     with pytest.raises(ValueError):
-        BernoulliArrivals(p=1.2, truck_interval=30, batch=batch())
+        bernoulli(1.2)
+    with pytest.raises(ValueError):
+        ArrivalProcess(30, 55, 15, p_high=0.3, rule="poisson")
 
 
 def test_bernoulli_truck_frequency():
-    proc = BernoulliArrivals(p=0.25, truck_interval=30, batch=batch())
+    proc = bernoulli(0.25)
     rng = np.random.default_rng(7)
     n = 20_000
-    trucks = sum(draw_batch(proc, 30 * k, rng) > 0 for k in range(n))
+    trucks = sum(proc.draw_batch(30 * k, rng) > 0 for k in range(n))
     assert abs(trucks / n - 0.25) < 0.01
 
 
 def test_tvb_square_wave():
-    proc = TimeVaryingArrivals(p_high=0.9, p_low=0.1, period=300, truck_interval=30, batch=batch())
+    proc = ArrivalProcess(30, 55, 15, p_high=0.9, p_low=0.1, rule="square", period=300)
     for t in range(0, 1800):
         expected = 0.9 if (t // 300) % 2 == 0 else 0.1
         assert proc.rate_at(t) == expected
@@ -78,26 +87,28 @@ def test_tvb_square_wave():
     assert proc.rate_at(599) == 0.1
     assert proc.rate_at(600) == 0.9
     with pytest.raises(ValueError):
-        TimeVaryingArrivals(p_high=0.9, p_low=0.1, period=0, truck_interval=30, batch=batch())
+        ArrivalProcess(30, 55, 15, p_high=0.9, p_low=0.1, rule="square", period=0)
 
 
 def test_mmb_phase_step_probabilities():
+    proc = mmb(0.15, 0.15)
     rng = np.random.default_rng(5)
-    stays_high = sum(mmb_phase_step(True, 0.15, 0.15, rng) for _ in range(20_000)) / 20_000
-    assert abs(stays_high - 0.85) < 0.01
-    leaves_low = sum(mmb_phase_step(False, 0.15, 0.15, rng) for _ in range(20_000)) / 20_000
-    assert abs(leaves_low - 0.15) < 0.01
+    stays_high = 0
+    for _ in range(20_000):
+        proc.is_high = True
+        proc.advance_slot(0, rng)
+        stays_high += proc.is_high
+    assert abs(stays_high / 20_000 - 0.85) < 0.01
+    leaves_low = 0
+    for _ in range(20_000):
+        proc.is_high = False
+        proc.advance_slot(0, rng)
+        leaves_low += proc.is_high
+    assert abs(leaves_low / 20_000 - 0.15) < 0.01
 
 
 def test_mmb_starts_high_and_steps_after_draws():
-    proc = MarkovModulatedArrivals(
-        p_high=0.9,
-        p_low=0.1,
-        p_high_to_low=1.0,
-        p_low_to_high=1.0,
-        truck_interval=30,
-        batch=batch(),
-    )
+    proc = mmb(1.0, 1.0)
     rng = np.random.default_rng(0)
     # deterministic flip every slot: rate at slot t reflects the phase
     # before that slot's advance
@@ -109,15 +120,7 @@ def test_mmb_starts_high_and_steps_after_draws():
 
 
 def test_mmb_per_opportunity_phase_only_steps_on_opportunities():
-    proc = MarkovModulatedArrivals(
-        p_high=0.9,
-        p_low=0.1,
-        p_high_to_low=1.0,
-        p_low_to_high=1.0,
-        truck_interval=30,
-        batch=batch(),
-        per_slot_phase=False,
-    )
+    proc = mmb(1.0, 1.0, per_slot_phase=False)
     rng = np.random.default_rng(0)
     for t in range(1, 30):
         proc.advance_slot(t, rng)
@@ -127,14 +130,7 @@ def test_mmb_per_opportunity_phase_only_steps_on_opportunities():
 
 
 def test_mmb_symmetric_occupancy():
-    proc = MarkovModulatedArrivals(
-        p_high=0.9,
-        p_low=0.1,
-        p_high_to_low=0.15,
-        p_low_to_high=0.15,
-        truck_interval=30,
-        batch=batch(),
-    )
+    proc = mmb(0.15, 0.15)
     rng = np.random.default_rng(11)
     high = 0
     n = 50_000

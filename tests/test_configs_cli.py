@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -64,6 +65,7 @@ def test_validation_rejects_bad_documents():
     cases = [
         {},  # no arrival
         base_doc(arrival={"type": "martian", "batch_means": [1, 1, 1, 1]}),
+        base_doc(arrival={"type": ["bernoulli"], "batch_means": [1, 1, 1, 1]}),
         base_doc(arrival={"type": "bernoulli", "p": 1.5, "batch_means": [55, 50, 75, 90]}),
         base_doc(arrival={"type": "bernoulli", "p": 0.2, "batch_means": [55, 50]}),
         base_doc(controller="magic"),
@@ -134,7 +136,76 @@ def test_resolved_dict_and_checkpoint_echo():
     assert not any("path" in k or "dir" in k for k in echo)
 
 
-def test_cli_exit_codes(tmp_path):
+# arrival sections that carry every numeric field of their rate rule
+ARRIVALS = {
+    "bernoulli": base_doc()["arrival"],
+    "tvb": {
+        "type": "tvb",
+        "p_high": 0.9,
+        "p_low": 0.1,
+        "period_mins": 300,
+        "batch_means": [55, 50, 75, 90],
+    },
+    "mmb": {
+        "type": "mmb",
+        "p_high": 0.9,
+        "p_low": 0.1,
+        "p_high_to_low": 0.15,
+        "p_low_to_high": 0.15,
+        "batch_means": [55, 50, 75, 90],
+    },
+}
+NUMERIC_FIELDS = [
+    ("bernoulli", path)
+    for path in [
+        ("total_uavs",),
+        ("delta",),
+        ("horizon_slots",),
+        ("warmup_slots",),
+        ("ql_update_multiple",),
+        ("queue_bounds", 0),
+        ("initial_allocation", 0),
+        ("seeds", 0),
+        ("reward", "lam"),
+        ("reward", "violation_budget"),
+        ("reward", "epoch_slots"),
+        ("arrival", "truck_interval_mins"),
+        ("arrival", "batch_half_width"),
+        ("arrival", "batch_means", 0),
+        ("arrival", "p"),
+    ]
+] + [
+    (kind, ("arrival", key))
+    for kind, keys in [
+        ("tvb", ("p_high", "p_low", "period_mins")),
+        ("mmb", ("p_high", "p_low", "p_high_to_low", "p_low_to_high")),
+    ]
+    for key in keys
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path", NUMERIC_FIELDS, ids=[f"{k}:" + ".".join(map(str, p)) for k, p in NUMERIC_FIELDS]
+)
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, kind, path):
+    doc = base_doc(
+        arrival=copy.deepcopy(ARRIVALS[kind]),
+        controller="threshold",
+        initial_allocation=[10, 10, 10, 10],
+        reward={"lam": 4.0, "violation_budget": 0.1, "epoch_slots": 60},
+    )
+    assert main(["eval", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "ok")]) == 0
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "x"
+    argv = ["eval", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "bad")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.json")]) == 2
     # the bundled rl scenario cannot be evaluated without checkpoints
     assert main(["eval", "--config", "bernoulli", "--out", str(tmp_path / "o1")]) == 3
@@ -154,6 +225,21 @@ def test_cli_exit_codes(tmp_path):
         )
         == 3
     )
+    # overrides out of range are config problems, caught before anything runs
+    config = write_config(tmp_path, base_doc(controller="threshold"))
+    bad_overrides = [
+        ["eval", "--config", config, "--horizon", "-5"],
+        ["eval", "--config", config, "--horizon", "0"],
+        ["eval", "--config", config, "--seed", "-1"],
+        ["sweep", "--config", config, "--n-uavs", "40", "--seed", "-1"],
+        ["compare", "--patterns", "bernoulli", "--algorithms", "static", "--horizon", "0"],
+        ["train", "--config", config, "--seeds", "1", "-2"],
+    ]
+    for argv in bad_overrides:
+        out = tmp_path / "bad_override"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_eval_writes_reports(tmp_path):

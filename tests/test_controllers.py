@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import (
     QlController,
     StaticController,
     ThresholdController,
     largest_remainder,
     ql_allocation,
-    static_allocation,
     threshold_decide,
 )
 
@@ -61,7 +61,11 @@ def test_largest_remainder_validation():
 
 
 def test_static_allocation_is_largest_remainder():
-    assert static_allocation([55, 50, 75, 90], 60) == [12, 11, 17, 20]
+    # the static split, which every controller starts from
+    cfg = load_experiment_config("bernoulli")
+    weights = [region.weight for region in cfg.district.regions]
+    assert cfg.initial_allocation_counts() == largest_remainder(weights, 60)
+    assert largest_remainder([55, 50, 75, 90], 60) == [12, 11, 17, 20]
 
 
 def test_threshold_bands():

@@ -12,7 +12,6 @@ from dronefleet.geography import (
     distance,
     district_from_dict,
     load_district,
-    sample_destination,
     sample_destinations,
     travel_time_slots,
 )
@@ -67,8 +66,12 @@ def test_sampled_destinations_stay_inside_their_rectangles():
 
 
 def test_single_sample_matches_batch_of_one():
+    # one point drawn long-hand: a sub-region by weight, then uniform inside it
     region = square_region(50.0, 50.0, 20.0, 2.0)
-    a = sample_destination(region, np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    rng.random()  # the draw that picks the only sub-region
+    sub = region.subregions[0]
+    a = tuple(float(c) for c in rng.uniform(sub.min_corner, sub.max_corner))
     b = sample_destinations(region, np.random.default_rng(42), 1)[0]
     assert a == (float(b[0]), float(b[1]))
 

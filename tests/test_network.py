@@ -7,7 +7,6 @@ from dronefleet.network import (
     batch_gradient,
     copy_network,
     forward,
-    gradient,
     init_adam,
     init_network,
 )
@@ -108,7 +107,7 @@ def test_gradient_masks_other_actions():
     rng = np.random.default_rng(4)
     net = init_network([4, 5, 3], rng)
     x = rng.random(4)
-    grads_w, grads_b = gradient(net, x, action=1, target=10.0)
+    grads_w, grads_b = batch_gradient(net, x[None, :], np.array([1]), np.array([10.0]))
     out_w, out_b = grads_w[-1], grads_b[-1]
     assert np.all(out_w[:, 0] == 0.0)
     assert np.all(out_w[:, 2] == 0.0)
@@ -123,7 +122,10 @@ def test_batch_gradient_is_mean_of_singles():
     actions = np.array([0, 2, 1])
     targets = np.array([1.0, -2.0, 0.5])
     batch_w, batch_b = batch_gradient(net, xs, actions, targets)
-    singles = [gradient(net, xs[i], int(actions[i]), float(targets[i])) for i in range(3)]
+    singles = [
+        batch_gradient(net, xs[i : i + 1], actions[i : i + 1], targets[i : i + 1])
+        for i in range(3)
+    ]
     for layer in range(len(net.weights)):
         mean_w = sum(s[0][layer] for s in singles) / 3
         mean_b = sum(s[1][layer] for s in singles) / 3
@@ -153,7 +155,7 @@ def test_adam_converges_on_quadratic():
     adam = init_adam(net, lr=0.05)
     x = np.array([1.0, 0.5])
     for _ in range(400):
-        gw, gb = gradient(net, x, action=2, target=3.0)
+        gw, gb = batch_gradient(net, x[None, :], np.array([2]), np.array([3.0]))
         adam_step(adam, net, gw, gb)
     assert forward(net, x)[2] == pytest.approx(3.0, abs=1e-3)
 

@@ -16,15 +16,15 @@ from dronefleet.rlagent import (
     RewardParams,
     action_delta,
     compute_reward,
-    ddqn_target,
     ddqn_targets_batch,
-    decode_state,
     encode_state,
     epsilon_at,
     load_checkpoint,
     save_checkpoint,
     select_action,
 )
+
+from oracles import ddqn_target, decode_state
 
 
 def const_net(q_values, inputs=QUEUE_BITS + COUNT_BITS):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dronefleet.arrivals import BatchSpec, BernoulliArrivals
+from dronefleet.arrivals import ArrivalProcess
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
@@ -29,7 +29,8 @@ def tiny_district():
 
 def procs():
     return [
-        BernoulliArrivals(p=0.5, truck_interval=10, batch=BatchSpec(2, 1)) for _ in range(2)
+        ArrivalProcess(truck_interval=10, batch_mean=2, batch_half_width=1, p_high=0.5)
+        for _ in range(2)
     ]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dronefleet.arrivals import BatchSpec, BernoulliArrivals
+from dronefleet.arrivals import ArrivalProcess
 from dronefleet.geography import District, Region, SubRegion
 from dronefleet.simcore import (
     IDLE_FREE,
@@ -33,11 +33,11 @@ def make_district(regions, total_uavs, port=(0.0, -300.0), speed=18.0):
 
 def one_shot_process(p=1.0, batch_mean=1):
     # a single opportunity at t=0 inside any short test window
-    return BernoulliArrivals(p=p, truck_interval=10_000, batch=BatchSpec(batch_mean, 0))
+    return ArrivalProcess(truck_interval=10_000, batch_mean=batch_mean, batch_half_width=0, p_high=p)
 
 
 def quiet_process():
-    return BernoulliArrivals(p=0.0, truck_interval=30, batch=BatchSpec(1, 0))
+    return ArrivalProcess(truck_interval=30, batch_mean=1, batch_half_width=0, p_high=0.0)
 
 
 def test_init_validation():
@@ -241,7 +241,8 @@ def test_fleet_conservation_under_random_moves():
         total_uavs=9,
     )
     procs = [
-        BernoulliArrivals(p=0.6, truck_interval=5, batch=BatchSpec(2, 1)) for _ in range(3)
+        ArrivalProcess(truck_interval=5, batch_mean=2, batch_half_width=1, p_high=0.6)
+        for _ in range(3)
     ]
     state = init_sim(district, procs, [3, 3, 2], np.random.SeedSequence(10))
     rng = np.random.default_rng(11)

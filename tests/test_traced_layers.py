@@ -1,0 +1,53 @@
+"""The benchmark's tracer finds every layer it times.
+
+bench/tracer.py looks its layers up by name and reads a missing one as 0,
+so a renamed function would silently zero a per-layer metric. This runs it
+on a short eval and requires that nothing is left unmeasured.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import dronefleet
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_every_traced_layer_resolves(tmp_path):
+    config = tmp_path / "threshold.json"
+    scenario = {
+        "arrival": {"type": "bernoulli", "p": 0.25, "batch_means": [55, 50, 75, 90]},
+        "controller": "threshold",
+        "queue_bounds": [110, 110, 150, 200],
+        "seeds": [1],
+    }
+    config.write_text(json.dumps(scenario))
+    layers = tmp_path / "layers.json"
+    env = {k: v for k, v in os.environ.items() if k != "DRONEFLEET_OUT"}
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(dronefleet.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    argv = [
+        sys.executable,
+        os.path.join(ROOT, "bench", "tracer.py"),
+        "--spans",
+        str(tmp_path / "spans.npz"),
+        "--layers",
+        str(layers),
+        "--",
+        "eval",
+        "--config",
+        str(config),
+        "--horizon",
+        "600",
+        "--out",
+        str(tmp_path / "out"),
+    ]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(layers.read_text())
+    assert doc["unmeasured"] == []
+    # the arrival layers are methods of the one process class
+    assert doc["layers"]["arrivals.draw_batch"]["calls"] > 0
+    assert doc["layers"]["arrivals.advance_slot"]["calls"] == 4 * 600
