@@ -107,7 +107,21 @@ _ARRIVAL_DEFAULTS = {
     "per_slot_phase": True,
 }
 
-_TRAIN_KEYS = {f for f in TrainConfig.__dataclass_fields__}
+# TrainConfig field -> (kind, low, high); hidden_sizes is read apart
+_TRAIN_FIELDS = {
+    "episodes": (int, 1, None),
+    "max_steps_per_episode": (int, 1, None),
+    "gamma": (float, 0.0, 1.0),
+    "batch_size": (int, 1, None),
+    "buffer_capacity": (int, 1, None),
+    "min_buffer": (int, 0, None),
+    "target_update_episodes": (int, 1, None),
+    "learning_rate": (float, 0.0, None),
+    "eps_start": (float, 0.0, 1.0),
+    "eps_end": (float, 0.0, 1.0),
+    "eps_decay_fraction": (float, 0.0, 1.0),
+    "saturation_cutoff": (int, 0, None),
+}
 
 
 # arrival type -> the rate rule of its process
@@ -132,6 +146,29 @@ def _numbers(values, name: str, kind=float, **bounds) -> list:
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list")
     return [_number(v, f"{name}[{i}]", kind, **bounds) for i, v in enumerate(values)]
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
+def _parse_train(doc: dict) -> TrainConfig:
+    unknown = set(doc) - set(_TRAIN_FIELDS) - {"hidden_sizes"}
+    if unknown:
+        raise ConfigError(f"unknown train settings: {sorted(unknown)}")
+    values = {}
+    for key, value in {"episodes": 150, **doc}.items():
+        if key != "hidden_sizes":
+            kind, low, high = _TRAIN_FIELDS[key]
+            values[key] = _number(value, f"train.{key}", kind, low=low, high=high)
+    if "hidden_sizes" in doc:
+        values["hidden_sizes"] = tuple(
+            _numbers(doc["hidden_sizes"], "train.hidden_sizes", int, low=1)
+        )
+    return TrainConfig(**values)
 
 
 def _probability(doc: dict, key: str) -> float:
@@ -177,13 +214,15 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     district_ref = doc.get("district", "builtin")
+    if not isinstance(district_ref, str):
+        raise ConfigError("district must be 'builtin' or the path of a district file")
     try:
         if district_ref == "builtin":
             district = builtin_district()
         else:
             district = load_district(district_ref)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"district file not found: {district_ref}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read district file {district_ref}: {exc}") from exc
     except (ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad district document: {exc}") from exc
 
@@ -194,7 +233,7 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {controller!r}")
 
-    reward_doc = doc.get("reward", {})
+    reward_doc = _section(doc, "reward")
     reward = RewardParams(
         lam=_number(reward_doc.get("lam", 4.0), "reward.lam"),
         violation_budget=_number(
@@ -214,16 +253,7 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
     if district.total_uavs < 1:
         raise ConfigError("total_uavs must be >= 1")
 
-    train_doc = doc.get("train", {})
-    unknown = set(train_doc) - _TRAIN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown train settings: {sorted(unknown)}")
-    if "hidden_sizes" in train_doc:
-        train_doc = dict(train_doc, hidden_sizes=tuple(train_doc["hidden_sizes"]))
-    try:
-        train = TrainConfig(**{"episodes": 150, **train_doc})
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
+    train = _parse_train(_section(doc, "train"))
 
     alloc = doc.get("initial_allocation", "static")
     if alloc != "static":
@@ -246,7 +276,7 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
 
     return ExperimentConfig(
         district=district,
-        district_source=str(district_ref),
+        district_source=district_ref,
         arrival=arrival,
         arrival_args=arrival_args,
         controller=controller,

@@ -3,6 +3,11 @@
 Hidden layers are ReLU, the output layer is linear (one Q-value per
 action). The only loss in play is squared error on the Q-value of the taken
 action, so gradients are masked to that action.
+
+A network may carry leading axes in front of every parameter: a stack of
+same-shaped networks, one per agent, that every function here runs at once
+with one batched matmul per layer. Each network of a stack computes exactly
+what it computes alone.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ import numpy as np
 
 @dataclass
 class QNetwork:
-    weights: list  # per layer, shape (fan_in, fan_out)
-    biases: list  # per layer, shape (fan_out,)
+    weights: list  # per layer, shape (..., fan_in, fan_out)
+    biases: list  # per layer, shape (..., fan_out)
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self.weights[0].shape[-2]] + [w.shape[-1] for w in self.weights]
 
 
 def init_network(layer_sizes: list[int], rng: np.random.Generator) -> QNetwork:
@@ -38,18 +43,20 @@ def copy_network(net: QNetwork) -> QNetwork:
     return QNetwork(weights=[w.copy() for w in net.weights], biases=[b.copy() for b in net.biases])
 
 
-def forward(net: QNetwork, x: np.ndarray) -> np.ndarray:
-    """Q-values for one input (1-D) or a batch (2-D)."""
-    a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
-        if i != last:
-            a = np.maximum(a, 0.0)
-    return a[0] if single else a
+def stack_networks(nets: list[QNetwork]) -> QNetwork:
+    """One network with a leading axis over `nets`, which share a shape."""
+    return QNetwork(
+        weights=[np.stack(ws) for ws in zip(*(n.weights for n in nets))],
+        biases=[np.stack(bs) for bs in zip(*(n.biases for n in nets))],
+    )
+
+
+def unstack_network(net: QNetwork) -> list[QNetwork]:
+    """The networks along the leading axis, as views into the stack."""
+    return [
+        QNetwork(weights=[w[i] for w in net.weights], biases=[b[i] for b in net.biases])
+        for i in range(len(net.weights[0]))
+    ]
 
 
 def _forward_cached(net: QNetwork, x: np.ndarray):
@@ -58,11 +65,19 @@ def _forward_cached(net: QNetwork, x: np.ndarray):
     last = len(net.weights) - 1
     a = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         pre.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
     return pre, activations
+
+
+def forward(net: QNetwork, x: np.ndarray) -> np.ndarray:
+    """Q-values for one input (1-D) or a batch (..., B, in)."""
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    _, acts = _forward_cached(net, a[None, :] if single else a)
+    return acts[-1][0] if single else acts[-1]
 
 
 def batch_gradient(
@@ -70,34 +85,34 @@ def batch_gradient(
 ) -> tuple[list, list]:
     """Gradients of the mean masked squared error over a batch.
 
-    xs (B, in), actions (B,) int, targets (B,). Only the Q-value of the
-    taken action enters each sample's loss.
+    xs (..., B, in), actions (..., B) int, targets (..., B). Only the
+    Q-value of the taken action enters each sample's loss.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.intp)
-    targets = np.asarray(targets, dtype=np.float64)
-    batch = xs.shape[0]
+    taken = np.asarray(actions, dtype=np.intp)[..., None]
+    targets = np.asarray(targets, dtype=np.float64)[..., None]
+    batch = xs.shape[-2]
     pre, acts = _forward_cached(net, xs)
     q = acts[-1]
 
     g = np.zeros_like(q)
-    rows = np.arange(batch)
-    g[rows, actions] = 2.0 * (q[rows, actions] - targets) / batch
+    error = 2.0 * (np.take_along_axis(q, taken, -1) - targets) / batch
+    np.put_along_axis(g, taken, error, -1)
 
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
     for layer in range(len(net.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ g
-        grads_b[layer] = g.sum(axis=0)
+        grads_w[layer] = np.swapaxes(acts[layer], -1, -2) @ g
+        grads_b[layer] = g.sum(axis=-2)
         if layer > 0:
-            g = (g @ net.weights[layer].T) * (pre[layer - 1] > 0.0)
+            g = (g @ np.swapaxes(net.weights[layer], -1, -2)) * (pre[layer - 1] > 0.0)
     return grads_w, grads_b
 
 
 @dataclass
 class AdamState:
-    """Adam moments for every parameter of one network, flattened in the
-    order of the network's weights, then its biases."""
+    """Adam moments for every parameter of one network (or stack),
+    flattened in the order of the network's weights, then its biases."""
 
     lr: float = 0.001
     beta1: float = 0.9

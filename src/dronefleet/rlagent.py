@@ -3,7 +3,9 @@
 Each PDC runs its own agent over the observation (n_d, q_d), encoded as raw
 binary: 15 low-order bits of the queue length followed by 10 low-order bits
 of the UAV count, least significant bit first. Actions index the count
-deltas {-delta, 0, +delta}.
+deltas {-delta, 0, +delta}. The training-side helpers take all D agents at
+once: per-agent arrays in, one stacked network (see network.py), one replay
+row per decision step.
 """
 
 from __future__ import annotations
@@ -32,19 +34,25 @@ def action_delta(action: int, delta: int) -> int:
     return (action - 1) * delta
 
 
-def encode_state(n: int, q: int) -> np.ndarray:
-    """25 binary inputs; values beyond the bit budget are clamped."""
-    if q >= 1 << QUEUE_BITS:
-        logger.warning("queue length %d exceeds %d bits, clamping", q, QUEUE_BITS)
-        q = (1 << QUEUE_BITS) - 1
-    if n >= 1 << COUNT_BITS:
-        logger.warning("UAV count %d exceeds %d bits, clamping", n, COUNT_BITS)
-        n = (1 << COUNT_BITS) - 1
-    if q < 0 or n < 0:
+def encode_state(n, q) -> np.ndarray:
+    """25 binary inputs per observation; values beyond the bit budget are
+    clamped. `n` and `q` are one agent's counts or equal-shape arrays of
+    them (one per agent); the bits form a new last axis."""
+    n = np.asarray(n, dtype=np.int64)
+    q = np.asarray(q, dtype=np.int64)
+    if (q < 0).any() or (n < 0).any():
         raise ValueError("negative observation")
-    bits = [(q >> i) & 1 for i in range(QUEUE_BITS)]
-    bits += [(n >> i) & 1 for i in range(COUNT_BITS)]
-    return np.array(bits, dtype=np.float64)
+    if (q >= 1 << QUEUE_BITS).any():
+        logger.warning("queue length %d exceeds %d bits, clamping", q.max(), QUEUE_BITS)
+        q = np.minimum(q, (1 << QUEUE_BITS) - 1)
+    if (n >= 1 << COUNT_BITS).any():
+        logger.warning("UAV count %d exceeds %d bits, clamping", n.max(), COUNT_BITS)
+        n = np.minimum(n, (1 << COUNT_BITS) - 1)
+    bits = np.concatenate(
+        ((q[..., None] >> np.arange(QUEUE_BITS)) & 1, (n[..., None] >> np.arange(COUNT_BITS)) & 1),
+        axis=-1,
+    )
+    return bits.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,18 @@ class RewardParams:
         return self.violation_budget * self.lam
 
 
-def compute_reward(
-    queue_trace: np.ndarray, queue_bound: float, n_allocated: int, params: RewardParams
-) -> float:
+def compute_reward(queue_trace, queue_bound, n_allocated, params: RewardParams):
     """Per-epoch reward: alpha_over per slot strictly above the bound,
-    alpha_under per slot at or below it, minus the UAVs held."""
+    alpha_under per slot at or below it, minus the UAVs held.
+
+    `queue_trace` is (..., T) slots; `queue_bound` and `n_allocated` are
+    scalars for one agent or arrays over the leading axes (one per agent).
+    """
     trace = np.asarray(queue_trace)
-    over = int((trace > queue_bound).sum())
-    under = trace.size - over
-    return over * params.alpha_over + under * params.alpha_under - float(n_allocated)
+    over = (trace > np.asarray(queue_bound)[..., None]).sum(axis=-1)
+    under = trace.shape[-1] - over
+    held = np.asarray(n_allocated, dtype=np.float64)
+    return over * params.alpha_over + under * params.alpha_under - held
 
 
 @dataclass(frozen=True)
@@ -89,11 +100,27 @@ def epsilon_at(step: int, sched: EpsilonSchedule) -> float:
     return sched.start + (sched.end - sched.start) * (step / cutoff)
 
 
-def select_action(net: QNetwork, encoded: np.ndarray, eps: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy; greedy ties break toward the lowest action index."""
-    if rng.random() < eps:
-        return int(rng.integers(NUM_ACTIONS))
-    return int(np.argmax(forward(net, encoded)))
+def select_action(net: QNetwork, encoded: np.ndarray, eps: float, rngs: list) -> np.ndarray:
+    """Epsilon-greedy action per agent; greedy ties break toward the lowest
+    action index.
+
+    `net` stacks one network per agent, `encoded` is (D, STATE_SIZE) and
+    `rngs` holds one generator per agent. Agent by agent, in order, each
+    generator draws the exploration coin and, when it explores, the action.
+    If any agent is greedy, one stacked forward pass then prices every
+    agent's state and the greedy agents take their argmax.
+    """
+    actions = np.zeros(len(rngs), dtype=np.intp)
+    greedy = np.zeros(len(rngs), dtype=bool)
+    for i, rng in enumerate(rngs):
+        if rng.random() < eps:
+            actions[i] = rng.integers(NUM_ACTIONS)
+        else:
+            greedy[i] = True
+    if greedy.any():
+        q = forward(net, encoded[:, None, :])[:, 0]
+        actions[greedy] = np.argmax(q[greedy], axis=-1)
+    return actions
 
 
 def ddqn_targets_batch(
@@ -105,18 +132,24 @@ def ddqn_targets_batch(
     gamma: float,
 ) -> np.ndarray:
     """Double-DQN targets: the online net picks each next action, the target
-    net prices it. Terminal transitions take the bare reward."""
-    best = np.argmax(forward(online, next_encoded), axis=1)
-    q_next = forward(target, next_encoded)[np.arange(len(best)), best]
+    net prices it. Terminal transitions take the bare reward.
+
+    `next_encoded` is (..., B, STATE_SIZE) and `rewards` and `dones` are
+    (..., B); a stacked pair of networks takes (D, B, ...) arrays."""
+    best = np.argmax(forward(online, next_encoded), axis=-1)[..., None]
+    q_next = np.take_along_axis(forward(target, next_encoded), best, -1)[..., 0]
     return rewards + gamma * q_next * (~dones)
 
 
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform minibatch sampling.
 
-    Transitions are stored column-wise, one array per field, so a minibatch
-    is one fancy index per field. The arrays double as they fill, up to
-    `capacity` rows.
+    Each row holds one decision step of all D agents: their encoded states
+    and next states (D, STATE_SIZE), actions and rewards (D,), and one done
+    flag. Rows are stored column-wise, one array per field, so a push is one
+    row write per field and a minibatch one fancy index per field. The
+    encodings are 0/1 bits and are kept as uint8. The arrays double as they
+    fill, up to `capacity` rows.
     """
 
     def __init__(self, capacity: int):
@@ -130,14 +163,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _reserve(self, state: np.ndarray) -> None:
+    def _reserve(self, state: np.ndarray, action: np.ndarray) -> None:
         rows = min(self.capacity, max(64, 2 * self._size))
-        width = np.shape(state)
         fresh = (
-            np.zeros((rows, *width)),
-            np.zeros(rows, dtype=np.intp),
-            np.zeros(rows),
-            np.zeros((rows, *width)),
+            np.zeros((rows, *np.shape(state)), dtype=np.uint8),
+            np.zeros((rows, *np.shape(action)), dtype=np.intp),
+            np.zeros((rows, *np.shape(action))),
+            np.zeros((rows, *np.shape(state)), dtype=np.uint8),
             np.zeros(rows, dtype=bool),
         )
         for new, old in zip(fresh, self._columns):
@@ -146,19 +178,31 @@ class ReplayBuffer:
 
     def push(self, state, action, reward, next_state, done) -> None:
         if not self._columns or self._write == len(self._columns[0]) < self.capacity:
-            self._reserve(state)
+            self._reserve(state, action)
         for column, value in zip(self._columns, (state, action, reward, next_state, done)):
             column[self._write] = value
         self._size = max(self._size, self._write + 1)
         self._write = (self._write + 1) % self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform without replacement within the minibatch; returns
-        (states, actions, rewards, next_states, dones)."""
+    def sample(self, batch_size: int, rngs: list):
+        """One minibatch per agent, each drawn uniformly without replacement
+        by that agent's own generator in `rngs`; returns (states, actions,
+        rewards, next_states, dones), each with leading axes (D, batch_size).
+        """
         if batch_size > self._size:
             raise ValueError("not enough transitions to sample")
-        idx = rng.choice(self._size, size=batch_size, replace=False)
-        return tuple(column[idx] for column in self._columns)
+        if len(rngs) != self._columns[1].shape[1]:
+            raise ValueError("need one generator per agent")
+        idx = np.stack([rng.choice(self._size, size=batch_size, replace=False) for rng in rngs])
+        agents = np.arange(len(rngs))[:, None]
+        states, actions, rewards, next_states, dones = self._columns
+        return (
+            states[idx, agents].astype(np.float64),
+            actions[idx, agents],
+            rewards[idx, agents],
+            next_states[idx, agents].astype(np.float64),
+            dones[idx],
+        )
 
 
 def save_checkpoint(path: str, net: QNetwork, train_steps: int, config_echo: dict) -> None:

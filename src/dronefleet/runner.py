@@ -19,7 +19,6 @@ class RunTraces:
     n: np.ndarray  # allocated UAVs, shape (D, horizon)
     waits: list  # per PDC: (arrival_slot, wait) per dispatched package, in dispatch order
     horizon_slots: int
-    epoch_slots: int
 
 
 def run_epoch(
@@ -111,6 +110,4 @@ def run_policy(
             fh.close()
 
     waits = [fifo_waits(arrival_trace[i], dispatch_trace[i]) for i in range(d)]
-    return RunTraces(
-        q=q_trace, n=n_trace, waits=waits, horizon_slots=horizon, epoch_slots=epoch_slots
-    )
+    return RunTraces(q=q_trace, n=n_trace, waits=waits, horizon_slots=horizon)

@@ -5,6 +5,11 @@ through the central scheduler together, the simulator advances one epoch,
 and each agent stores its transition and takes one minibatch step. Episodes
 end at a step cap (truncation, bootstrapping continues) or when any queue
 saturates (terminal).
+
+The D agents share one shape, so they are trained as one stacked network
+(see network.py) with one Adam state and one replay buffer: each decision
+step is one forward pass, one backprop, one Adam update and one replay write
+for all of them. Each agent keeps its own random streams.
 """
 
 from __future__ import annotations
@@ -15,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import adam_step, batch_gradient, copy_network, init_adam, init_network
+from .network import (
+    adam_step,
+    batch_gradient,
+    copy_network,
+    init_adam,
+    init_network,
+    stack_networks,
+    unstack_network,
+)
 from .rlagent import (
     NUM_ACTIONS,
     STATE_SIZE,
@@ -30,7 +43,7 @@ from .rlagent import (
     select_action,
 )
 from .runner import run_epoch
-from .simcore import init_sim, observe
+from .simcore import SimState, init_sim
 
 logger = logging.getLogger(__name__)
 
@@ -59,14 +72,9 @@ class TrainResult:
     train_steps: int
 
 
-@dataclass
-class _Agent:
-    net: object
-    target: object
-    adam: object
-    buffer: ReplayBuffer
-    action_rng: np.random.Generator
-    replay_rng: np.random.Generator
+def _encode_observations(state: SimState) -> np.ndarray:
+    """(D, STATE_SIZE) encodings of every PDC's (held drones, queue length)."""
+    return encode_state(state.home_counts[1:], [len(queue) for queue in state.queues])
 
 
 def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
@@ -80,25 +88,21 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     d = district.num_pdcs
     reward_params: RewardParams = scenario.reward
     epoch_slots = reward_params.epoch_slots
-    bounds = scenario.queue_bounds
-    bound_column = np.asarray(bounds)[:, None]
+    bounds = np.asarray(scenario.queue_bounds)
+    bound_column = bounds[:, None]
 
     master = np.random.SeedSequence(seed)
-    agents: list[_Agent] = []
     layer_sizes = [STATE_SIZE, *cfg.hidden_sizes, NUM_ACTIONS]
+    nets, action_rngs, replay_rngs = [], [], []
     for agent_ss in master.spawn(d):
         init_ss, action_ss, replay_ss = agent_ss.spawn(3)
-        net = init_network(layer_sizes, np.random.default_rng(init_ss))
-        agents.append(
-            _Agent(
-                net=net,
-                target=copy_network(net),
-                adam=init_adam(net, lr=cfg.learning_rate),
-                buffer=ReplayBuffer(cfg.buffer_capacity),
-                action_rng=np.random.default_rng(action_ss),
-                replay_rng=np.random.default_rng(replay_ss),
-            )
-        )
+        nets.append(init_network(layer_sizes, np.random.default_rng(init_ss)))
+        action_rngs.append(np.random.default_rng(action_ss))
+        replay_rngs.append(np.random.default_rng(replay_ss))
+    net = stack_networks(nets)
+    target = copy_network(net)
+    adam = init_adam(net, lr=cfg.learning_rate)
+    buffer = ReplayBuffer(cfg.buffer_capacity)
     sched_rng = np.random.default_rng(master.spawn(1)[0])
 
     sched = EpsilonSchedule(
@@ -123,35 +127,27 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
         over_ge = 0
         steps = 0
         eps = epsilon_at(global_step, sched)
-        encoded = [encode_state(*observe(state, pdc)) for pdc in range(1, d + 1)]
+        encoded = _encode_observations(state)
 
         for _ in range(cfg.max_steps_per_episode):
             eps = epsilon_at(global_step, sched)
-            actions = [
-                select_action(agent.net, enc, eps, agent.action_rng)
-                for agent, enc in zip(agents, encoded)
-            ]
-            deltas = [action_delta(a, scenario.delta) for a in actions]
+            actions = select_action(net, encoded, eps, action_rngs)
+            deltas = [action_delta(a, scenario.delta) for a in actions.tolist()]
             q_window, _, _ = run_epoch(state, deltas, sched_rng, epoch_slots)
-            held = [int(state.home_counts[pdc]) for pdc in range(1, d + 1)]
 
             saturated = bool((q_window > cfg.saturation_cutoff).any())
-            next_encoded = [encode_state(*observe(state, pdc)) for pdc in range(1, d + 1)]
-            for i, agent in enumerate(agents):
-                r = compute_reward(q_window[i], bounds[i], held[i], reward_params)
+            next_encoded = _encode_observations(state)
+            rewards = compute_reward(q_window, bounds, state.home_counts[1:], reward_params)
+            for r in rewards.tolist():  # agent by agent, as a running float sum
                 reward_total += r
-                agent.buffer.push(encoded[i], actions[i], r, next_encoded[i], saturated)
+            buffer.push(encoded, actions, rewards, next_encoded, saturated)
             over_ge += int((q_window >= bound_column).sum())
 
-            for agent in agents:
-                if len(agent.buffer) >= learn_after:
-                    batch = agent.buffer.sample(cfg.batch_size, agent.replay_rng)
-                    states, acts, rewards, next_states, dones = batch
-                    targets = ddqn_targets_batch(
-                        rewards, next_states, dones, agent.net, agent.target, cfg.gamma
-                    )
-                    grads_w, grads_b = batch_gradient(agent.net, states, acts, targets)
-                    adam_step(agent.adam, agent.net, grads_w, grads_b)
+            if len(buffer) >= learn_after:
+                states, acts, rews, next_states, dones = buffer.sample(cfg.batch_size, replay_rngs)
+                targets = ddqn_targets_batch(rews, next_states, dones, net, target, cfg.gamma)
+                grads_w, grads_b = batch_gradient(net, states, acts, targets)
+                adam_step(adam, net, grads_w, grads_b)
 
             encoded = next_encoded
             global_step += 1
@@ -171,8 +167,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
             }
         )
         if (episode + 1) % cfg.target_update_episodes == 0:
-            for agent in agents:
-                agent.target = copy_network(agent.net)
+            target = copy_network(net)
         logger.info(
             "episode %d: steps=%d avg_reward=%.2f violation=%.3f eps=%.3f",
             episode,
@@ -182,4 +177,4 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
             eps,
         )
 
-    return TrainResult(nets=[a.net for a in agents], curve=curve, train_steps=global_step)
+    return TrainResult(nets=unstack_network(net), curve=curve, train_steps=global_step)

@@ -291,7 +291,6 @@ def test_criterion_8_metrics_hand_example(capsys):
         n=np.array([[2, 2, 2], [1, 1, 3]]),
         waits=[[(0, 0), (1, 2)], [(0, 2), (2, 4)]],
         horizon_slots=3,
-        epoch_slots=3,
     )
     rep = summarize(traces, [4.0, 4.0], warmup_slots=0)
     checks = [

@@ -205,6 +205,91 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, kind, path):
     assert "config error" in err and "Traceback" not in err
 
 
+# train settings that must be rejected: not a number, or out of range
+BAD_TRAIN_VALUES = [
+    (key, "x")
+    for key in (
+        "episodes",
+        "max_steps_per_episode",
+        "gamma",
+        "batch_size",
+        "buffer_capacity",
+        "min_buffer",
+        "target_update_episodes",
+        "learning_rate",
+        "eps_start",
+        "eps_end",
+        "eps_decay_fraction",
+        "saturation_cutoff",
+    )
+] + [
+    ("episodes", 0),
+    ("max_steps_per_episode", 0),
+    ("batch_size", 0),
+    ("buffer_capacity", 0),
+    ("target_update_episodes", 0),
+    ("min_buffer", -1),
+    ("saturation_cutoff", -1),
+    ("learning_rate", -0.001),
+    ("gamma", 1.5),
+    ("eps_start", -0.1),
+    ("eps_end", 2.0),
+    ("eps_decay_fraction", 1.1),
+    ("hidden_sizes", ["a"]),
+    ("hidden_sizes", [32, 0]),
+    ("hidden_sizes", 32),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", BAD_TRAIN_VALUES, ids=[f"{k}={v!r}" for k, v in BAD_TRAIN_VALUES]
+)
+def test_bad_train_value_exits_2(tmp_path, capsys, key, value):
+    train = {"episodes": 1, "max_steps_per_episode": 2, key: value}
+    config = write_config(tmp_path, base_doc(controller="rl", train=train))
+    out = tmp_path / "out"
+    assert main(["train", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_section_values_are_read_as_numbers():
+    cfg = config_from_dict(
+        base_doc(train={"episodes": "3", "gamma": 1, "hidden_sizes": [16, "8"]})
+    )
+    assert (cfg.train.episodes, cfg.train.gamma, cfg.train.hidden_sizes) == (3, 1.0, (16, 8))
+    assert cfg.train.batch_size == 25  # unset fields keep their defaults
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"reward": [1]},
+        {"train": [1]},
+        {"train": "x"},
+        {"district": 5},
+        {"district": ["builtin"]},
+        {"district": None},
+    ],
+    ids=["reward-list", "train-list", "train-str", "district-int", "district-list", "district-null"],
+)
+def test_bad_section_or_district_type_exits_2(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, base_doc(controller="rl", **overrides))
+    out = tmp_path / "out"
+    assert main(["train", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unreadable_district_file_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, base_doc(district=str(tmp_path)))  # a directory
+    assert main(["eval", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.json")]) == 2
     # the bundled rl scenario cannot be evaluated without checkpoints

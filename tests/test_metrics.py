@@ -13,10 +13,10 @@ from dronefleet.metrics import (
 from dronefleet.runner import RunTraces
 
 
-def make_traces(q, n, waits, epoch_slots=3):
+def make_traces(q, n, waits):
     q = np.asarray(q, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
-    return RunTraces(q=q, n=n, waits=waits, horizon_slots=q.shape[1], epoch_slots=epoch_slots)
+    return RunTraces(q=q, n=n, waits=waits, horizon_slots=q.shape[1])
 
 
 def test_violation_probability_is_inclusive():

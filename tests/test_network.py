@@ -9,6 +9,8 @@ from dronefleet.network import (
     forward,
     init_adam,
     init_network,
+    stack_networks,
+    unstack_network,
 )
 
 
@@ -192,3 +194,59 @@ def test_adam_matches_per_parameter_long_hand_bit_for_bit():
             p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
         for got, want in zip([*net.weights, *net.biases], params):
             assert np.array_equal(got, want)
+
+
+def random_stack(rng, sizes, d=4):
+    """d random nets of one shape, with nonzero biases, and their stack."""
+    nets = [init_network(sizes, rng) for _ in range(d)]
+    for net in nets:
+        for b in net.biases:
+            b += rng.normal(size=b.shape)
+    return nets, stack_networks(nets)
+
+
+def test_stack_and_unstack_roundtrip():
+    rng = np.random.default_rng(20)
+    nets, stacked = random_stack(rng, [25, 16, 8, 3])
+    assert stacked.layer_sizes == [25, 16, 8, 3]
+    assert [w.shape for w in stacked.weights] == [(4, 25, 16), (4, 16, 8), (4, 8, 3)]
+    assert [b.shape for b in stacked.biases] == [(4, 16), (4, 8), (4, 3)]
+    for net, back in zip(nets, unstack_network(stacked)):
+        assert back.layer_sizes == net.layer_sizes
+        for a, b in zip([*net.weights, *net.biases], [*back.weights, *back.biases]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_stacked_forward_and_gradient_match_each_net_alone():
+    rng = np.random.default_rng(21)
+    for sizes in ([25, 32, 32, 3], [7, 5, 3], [4, 2]):
+        nets, stacked = random_stack(rng, sizes)
+        xs = (rng.random((4, 25, sizes[0])) < 0.5).astype(np.float64)
+        actions = rng.integers(0, sizes[-1], size=(4, 25))
+        targets = rng.normal(size=(4, 25))
+        q = forward(stacked, xs)
+        q_one = forward(stacked, xs[:, :1])
+        gw, gb = batch_gradient(stacked, xs, actions, targets)
+        for i, net in enumerate(nets):
+            assert q[i].tobytes() == forward(net, xs[i]).tobytes()
+            assert q_one[i, 0].tobytes() == forward(net, xs[i, 0]).tobytes()
+            alone_w, alone_b = batch_gradient(net, xs[i], actions[i], targets[i])
+            for got, want in zip([*gw, *gb], [*alone_w, *alone_b]):
+                assert got[i].tobytes() == want.tobytes()
+
+
+def test_stacked_adam_matches_each_net_alone():
+    rng = np.random.default_rng(22)
+    nets, stacked = random_stack(rng, [25, 16, 16, 3])
+    adam = init_adam(stacked, lr=0.01)
+    alone = [(copy_network(net), init_adam(net, lr=0.01)) for net in nets]
+    for _ in range(6):
+        xs = (rng.random((4, 10, 25)) < 0.5).astype(np.float64)
+        actions = rng.integers(0, 3, size=(4, 10))
+        targets = rng.normal(size=(4, 10))
+        adam_step(adam, stacked, *batch_gradient(stacked, xs, actions, targets))
+        for i, (net, net_adam) in enumerate(alone):
+            adam_step(net_adam, net, *batch_gradient(net, xs[i], actions[i], targets[i]))
+    for i, (net, _) in enumerate(alone):
+        for got, want in zip([*stacked.weights, *stacked.biases], [*net.weights, *net.biases]):
+            assert got[i].tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from dronefleet.network import QNetwork, init_network
+from dronefleet.network import QNetwork, forward, init_network, stack_networks
 from dronefleet.rlagent import (
     COUNT_BITS,
     NUM_ACTIONS,
@@ -67,6 +67,19 @@ def test_encode_rejects_negative():
         encode_state(n=0, q=-1)
 
 
+def test_encode_per_agent_arrays_match_scalars():
+    rng = np.random.default_rng(14)
+    n = rng.integers(0, 1 << COUNT_BITS, size=(3, 4))
+    q = rng.integers(0, 1 << QUEUE_BITS, size=(3, 4))
+    enc = encode_state(n, q)
+    assert enc.shape == (3, 4, 25) and enc.dtype == np.float64
+    for i in range(3):
+        for j in range(4):
+            assert enc[i, j].tobytes() == encode_state(int(n[i, j]), int(q[i, j])).tobytes()
+    with pytest.raises(ValueError):
+        encode_state(np.array([1, -1]), np.array([0, 0]))
+
+
 def test_decode_rejects_bad_shape():
     with pytest.raises(ValueError):
         decode_state(np.zeros(24))
@@ -95,6 +108,19 @@ def test_reward_counts_strictly_above_the_bound():
     trace = np.array([79, 80, 81, 82])
     # only 81 and 82 are over: 2*(-3.6) + 2*0.4 - 1
     assert compute_reward(trace, 80.0, 1, params) == pytest.approx(-7.4)
+
+
+def test_reward_per_agent_arrays_match_scalars():
+    params = RewardParams(lam=4.0, violation_budget=0.1, epoch_slots=60)
+    rng = np.random.default_rng(15)
+    traces = rng.integers(0, 250, size=(4, 60))
+    bounds = np.array([110.0, 110.0, 150.0, 200.0])
+    held = rng.integers(0, 40, size=4)
+    got = compute_reward(traces, bounds, held, params)
+    assert got.shape == (4,)
+    for i in range(4):
+        want = compute_reward(traces[i], bounds[i], int(held[i]), params)
+        assert got[i].tobytes() == np.float64(want).tobytes()
 
 
 def test_reward_lagrangian_identity():
@@ -126,15 +152,37 @@ def test_epsilon_schedule_shape():
 
 
 def test_select_action_greedy_and_uniform():
-    net = const_net([1.0, 3.0, 2.0])
+    net = stack_networks([const_net([1.0, 3.0, 2.0])])
     rng = np.random.default_rng(0)
-    assert select_action(net, encode_state(5, 5), 0.0, rng) == 1
+    s = encode_state(5, 5)[None]
+    assert select_action(net, s, 0.0, [rng]).tolist() == [1]
     # full exploration covers all actions
-    seen = {select_action(net, encode_state(5, 5), 1.0, rng) for _ in range(100)}
+    seen = {int(select_action(net, s, 1.0, [rng])[0]) for _ in range(100)}
     assert seen == {0, 1, 2}
     # greedy ties break to the lowest action index
-    flat = const_net([2.0, 2.0, 2.0])
-    assert select_action(flat, encode_state(1, 1), 0.0, rng) == 0
+    flat = stack_networks([const_net([2.0, 2.0, 2.0])])
+    assert select_action(flat, encode_state(1, 1)[None], 0.0, [rng]).tolist() == [0]
+
+
+def test_select_action_matches_each_agent_alone():
+    # each agent draws its coin (and its action when it explores) from its
+    # own generator; greedy agents take the argmax of their own network
+    rng = np.random.default_rng(11)
+    nets = [init_network([25, 8, 3], rng) for _ in range(4)]
+    stacked = stack_networks(nets)
+    for eps in (0.0, 0.5, 1.0):
+        rngs = [np.random.default_rng(100 + i) for i in range(4)]
+        refs = [np.random.default_rng(100 + i) for i in range(4)]
+        for _ in range(30):
+            enc = encode_state(rng.integers(0, 60, size=4), rng.integers(0, 300, size=4))
+            got = select_action(stacked, enc, eps, rngs)
+            want = [
+                int(ref.integers(NUM_ACTIONS))
+                if ref.random() < eps
+                else int(np.argmax(forward(net, enc[i])))
+                for i, (net, ref) in enumerate(zip(nets, refs))
+            ]
+            assert got.tolist() == want
 
 
 def test_ddqn_target_hand_example():
@@ -160,13 +208,34 @@ def test_ddqn_batch_matches_scalar():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_ddqn_batch_stacked_matches_each_agent_alone():
+    rng = np.random.default_rng(12)
+    online = [init_network([25, 8, 3], rng) for _ in range(4)]
+    target = [init_network([25, 8, 3], rng) for _ in range(4)]
+    states = encode_state(rng.integers(0, 60, size=(4, 9)), rng.integers(0, 300, size=(4, 9)))
+    rewards = rng.normal(size=(4, 9))
+    dones = rng.random((4, 9)) < 0.3
+    got = ddqn_targets_batch(
+        rewards, states, dones, stack_networks(online), stack_networks(target), 0.99
+    )
+    assert got.shape == (4, 9)
+    for i in range(4):
+        alone = ddqn_targets_batch(rewards[i], states[i], dones[i], online[i], target[i], 0.99)
+        assert got[i].tobytes() == alone.tobytes()
+
+
+def push_one(buf, state, action, reward, next_state, done):
+    """A single agent's transition, as a one-agent row."""
+    buf.push(state[None], [action], [reward], next_state[None], done)
+
+
 def test_replay_buffer_ring_overwrite():
     buf = ReplayBuffer(capacity=3)
     s = encode_state(1, 1)
     for k in range(5):
-        buf.push(s, k % 3, float(k), s, False)
+        push_one(buf, s, k % 3, float(k), s, False)
     assert len(buf) == 3
-    rewards = set(buf.sample(3, np.random.default_rng(0))[2].tolist())
+    rewards = set(buf.sample(3, [np.random.default_rng(0)])[2][0].tolist())
     assert rewards == {2.0, 3.0, 4.0}  # 0 and 1 were overwritten first
     with pytest.raises(ValueError):
         ReplayBuffer(0)
@@ -176,29 +245,56 @@ def test_replay_sample_without_replacement():
     buf = ReplayBuffer(capacity=10)
     s = encode_state(0, 0)
     for k in range(8):
-        buf.push(s, 0, float(k), s, bool(k % 2))
+        push_one(buf, s, 0, float(k), s, bool(k % 2))
     rng = np.random.default_rng(0)
-    states, actions, rewards, next_states, dones = buf.sample(8, rng)
-    assert sorted(rewards.tolist()) == [float(k) for k in range(8)]
-    assert states.shape == (8, 25)
+    states, actions, rewards, next_states, dones = buf.sample(8, [rng])
+    assert sorted(rewards[0].tolist()) == [float(k) for k in range(8)]
+    assert states.shape == (1, 8, 25)
+    assert states.dtype == np.float64 and next_states.dtype == np.float64
     assert dones.dtype == bool
     with pytest.raises(ValueError):
-        buf.sample(9, rng)
+        buf.sample(9, [rng])
+    with pytest.raises(ValueError):
+        buf.sample(1, [rng, rng])  # one generator per agent
 
 
 def test_replay_buffer_keeps_rows_across_growth_and_wrap():
     # storage grows from 64 rows to the capacity of 100, then the ring wraps
     buf = ReplayBuffer(capacity=100)
     for k in range(150):
-        buf.push(encode_state(k % 7, k), k % 3, float(k), encode_state(0, k), k % 2 == 0)
+        push_one(buf, encode_state(k % 7, k), k % 3, float(k), encode_state(0, k), k % 2 == 0)
     assert len(buf) == 100
-    states, actions, rewards, next_states, dones = buf.sample(100, np.random.default_rng(1))
-    assert sorted(rewards.tolist()) == [float(k) for k in range(50, 150)]
-    for s, a, r, s2, done in zip(states, actions, rewards, next_states, dones):
+    states, actions, rewards, next_states, dones = buf.sample(100, [np.random.default_rng(1)])
+    assert sorted(rewards[0].tolist()) == [float(k) for k in range(50, 150)]
+    for s, a, r, s2, done in zip(states[0], actions[0], rewards[0], next_states[0], dones[0]):
         k = int(r)
         assert decode_state(s) == (k % 7, k)
         assert decode_state(s2) == (0, k)
         assert (int(a), bool(done)) == (k % 3, k % 2 == 0)
+
+
+def test_stacked_replay_matches_single_agent_buffers():
+    # one row of D agents per push, sampled with one generator per agent,
+    # returns exactly what D one-agent buffers return, through growth and wrap
+    d = 4
+    rng = np.random.default_rng(13)
+    stacked = ReplayBuffer(capacity=90)
+    singles = [ReplayBuffer(capacity=90) for _ in range(d)]
+    for k in range(140):
+        enc = encode_state(rng.integers(0, 60, size=d), rng.integers(0, 300, size=d))
+        nxt = encode_state(rng.integers(0, 60, size=d), rng.integers(0, 300, size=d))
+        acts = rng.integers(0, NUM_ACTIONS, size=d)
+        rews = rng.normal(size=d)
+        done = bool(rng.random() < 0.2)
+        stacked.push(enc, acts, rews, nxt, done)
+        for i, buf in enumerate(singles):
+            push_one(buf, enc[i], acts[i], rews[i], nxt[i], done)
+        if k >= 25 and k % 10 == 0:
+            got = stacked.sample(25, [np.random.default_rng(k * d + i) for i in range(d)])
+            for i, buf in enumerate(singles):
+                want = buf.sample(25, [np.random.default_rng(k * d + i)])
+                for field_got, field_want in zip(got, want):
+                    assert field_got[i].tobytes() == field_want[0].tobytes()
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):

@@ -31,7 +31,10 @@ def test_train_shapes_and_curve():
     result = train(scenario, tiny_cfg(), seed=0)
     assert len(result.nets) == 4
     for net in result.nets:
+        # one plain per-PDC net each, sliced from the stack the trainer keeps
         assert net.layer_sizes == [25, 32, 32, 3]
+        assert [w.ndim for w in net.weights] == [2, 2, 2]
+        assert [b.ndim for b in net.biases] == [1, 1, 1]
     assert len(result.curve) == 3
     assert result.train_steps == 12
     for row in result.curve:
