@@ -9,7 +9,8 @@ whole batch of packages at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,10 @@ class ArrivalProcess:
     - markov: a chain that starts high and leaves its phase with
       p_high_to_low or p_low_to_high. By default it is stepped once per
       slot; with per_slot_phase False it steps once per truck opportunity,
-      which stretches mean phase sojourns by the truck interval.
+      which stretches mean phase sojourns by the truck interval. Stepped
+      per slot, the chain is the only draw between two opportunities, so
+      its uniforms up to the next opportunity come in one call; they are
+      the same doubles that one call per slot would give.
 
     Batch sizes are integer-uniform on
     [batch_mean - batch_half_width, batch_mean + batch_half_width].
@@ -51,6 +55,13 @@ class ArrivalProcess:
     p_low_to_high: float = 0.0
     per_slot_phase: bool = True
     is_high: bool = True
+    # the chain's drawn-ahead uniforms: their generator, and the slot whose
+    # step takes the next one
+    _uniforms: Iterator[float] = field(default=iter(()), init=False, repr=False, compare=False)
+    _uniforms_rng: np.random.Generator | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _next_slot: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rule not in RATE_RULES:
@@ -76,11 +87,25 @@ class ArrivalProcess:
         # Stepped after the slot's draws, so the initial phase governs t = 0.
         if self.rule != "markov":
             return
-        if self.per_slot_phase or t % self.truck_interval == 0:
-            if self.is_high:
-                self.is_high = not (rng.random() < self.p_high_to_low)
-            else:
-                self.is_high = rng.random() < self.p_low_to_high
+        if self.per_slot_phase:
+            # a block serves consecutive slots of one generator up to the next
+            # opportunity; a skipped slot or another generator starts afresh
+            fresh = t == self._next_slot and rng is self._uniforms_rng
+            u = next(self._uniforms, None) if fresh else None
+            if u is None:
+                ahead = self.truck_interval - t % self.truck_interval
+                self._uniforms = iter(rng.random(ahead).tolist())
+                self._uniforms_rng = rng
+                u = next(self._uniforms)
+            self._next_slot = t + 1
+        elif t % self.truck_interval == 0:
+            u = rng.random()
+        else:
+            return
+        if self.is_high:
+            self.is_high = not (u < self.p_high_to_low)
+        else:
+            self.is_high = u < self.p_low_to_high
 
     def draw_batch(self, t: int, rng: np.random.Generator) -> int:
         """Batch size landing at slot t (0 when no truck shows up).

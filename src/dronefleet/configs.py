@@ -134,6 +134,9 @@ def _number(value, name: str, kind=float, low=None, high=None):
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} missing or not a number: {value!r}") from exc
+    # int() would truncate 40.9 to 40
+    if kind is int and isinstance(value, float) and x != value:
+        raise ConfigError(f"{name} must be a whole number: {value!r}")
     # written so that NaN fails every bound
     if low is not None and not x >= low:
         raise ConfigError(f"{name} must be >= {low}")
@@ -282,7 +285,7 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
         controller=controller,
         reward=reward,
         queue_bounds=bounds,
-        delta=_number(doc.get("delta", 5), "delta", int),
+        delta=_number(doc.get("delta", 5), "delta", int, low=1),
         train=train,
         seeds=seeds,
         horizon_slots=horizon,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -34,6 +35,20 @@ class Region:
     @property
     def weight(self) -> float:
         return sum(s.weight for s in self.subregions)
+
+    @cached_property
+    def _sampler(self) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """Cumulative sub-region weights, their total, and the min corner and
+        extent of each sub-region; built on first use, once per region."""
+        weights = np.array([s.weight for s in self.subregions], dtype=np.float64)
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("region has no population weight")
+        lo = np.array([s.min_corner for s in self.subregions], dtype=np.float64)
+        span = np.array([s.max_corner for s in self.subregions], dtype=np.float64) - lo
+        if not np.isfinite(span).all():
+            raise ValueError("sub-region corners must be finite")
+        return np.cumsum(weights), total, lo, span
 
 
 @dataclass(frozen=True)
@@ -75,16 +90,12 @@ def travel_time_slots(dist_m: float, speed_kph: float) -> int:
 def sample_destinations(region: Region, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw `count` delivery points, shape (count, 2): sub-region by weight,
     then uniform inside the chosen rectangle."""
-    weights = np.array([s.weight for s in region.subregions], dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("region has no population weight")
-    cum = np.cumsum(weights)
-    idx = np.searchsorted(cum, rng.random(count) * total, side="right")
-    idx = np.minimum(idx, len(weights) - 1)
-    lo = np.array([s.min_corner for s in region.subregions], dtype=np.float64)
-    hi = np.array([s.max_corner for s in region.subregions], dtype=np.float64)
-    return rng.uniform(lo[idx], hi[idx])
+    cum, total, lo, span = region._sampler
+    idx = np.minimum(cum.searchsorted(rng.random(count) * total, side="right"), len(cum) - 1)
+    low = lo.take(idx, axis=0)
+    # Generator.uniform(low, high) draws low + (high - low) * u, u filled in
+    # C order; written out, the same doubles cost a fifth of its time
+    return low + span.take(idx, axis=0) * rng.random(low.shape)
 
 
 def district_from_dict(doc: dict) -> District:

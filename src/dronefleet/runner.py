@@ -30,14 +30,12 @@ def run_epoch(
     counts, each of shape (D, epoch_slots).
     """
     apply_allocation_moves(state, schedule(state, requests, rng))
-    queues = state.queues
-    q, arrivals, dispatches = [], [], []
-    for _ in range(epoch_slots):
-        arrived, dispatched = step_slot(state)
-        q.append([len(queue) for queue in queues])
-        arrivals.append(arrived)
-        dispatches.append(dispatched)
-    return tuple(np.array(rows, dtype=np.int64).T for rows in (q, arrivals, dispatches))
+    q_start = np.array([len(queue) for queue in state.queues], dtype=np.int64)
+    steps = np.array([step_slot(state) for _ in range(epoch_slots)], dtype=np.int64)
+    arrivals, dispatches = steps.transpose(1, 2, 0)  # each (D, epoch_slots)
+    # queue balance: the queue is what it held plus arrivals minus dispatches
+    q = q_start[:, None] + np.cumsum(arrivals - dispatches, axis=1)
+    return q, arrivals, dispatches
 
 
 def fifo_waits(arrivals: np.ndarray, dispatches: np.ndarray) -> np.ndarray:

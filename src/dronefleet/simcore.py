@@ -2,7 +2,8 @@
 
 One slot is one minute. Each step handles, in this order:
   1. drones whose free slot is due turn idle,
-  2. truck arrivals and destination sampling,
+  2. truck arrivals and destination sampling, then the phase step of each
+     Markov-modulated arrival process,
   3. FCFS dispatch of idle drones against the local queue,
   4. the clock.
 A mission is fixed at dispatch: the package lands at `drop`, the return leg
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrivals import ArrivalProcess, arrival_opportunity
+from .arrivals import ArrivalProcess
 from .geography import District, Point, distance, sample_destinations, travel_time_slots
 
 IDLE_FREE = -1  # `free` of a drone that is idle
@@ -48,6 +49,30 @@ class SimState:
     dest_rngs: list[np.random.Generator]
     t: int = 0
     due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
+    # per PDC, looked up once rather than every slot: (process, its truck
+    # interval, arrival and destination generators, region, queue, idle list)
+    lanes: list[tuple] = field(init=False, repr=False, compare=False)
+    # (process, arrival generator) of each PDC whose rate has a phase chain
+    # to step every slot; the other rules draw nothing off their opportunities
+    phased: list[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.lanes = list(
+            zip(
+                self.processes,
+                [proc.truck_interval for proc in self.processes],
+                self.arrival_rngs,
+                self.dest_rngs,
+                self.district.regions,
+                self.queues,
+                self.idle[1:],
+            )
+        )
+        self.phased = [
+            (proc, rng)
+            for proc, rng in zip(self.processes, self.arrival_rngs)
+            if proc.rule == "markov"
+        ]
 
 
 def init_sim(
@@ -107,45 +132,57 @@ def _book(state: SimState, uid: int, free: int) -> None:
 def step_slot(state: SimState) -> tuple[list[int], list[int]]:
     """Advance one slot; returns per-PDC (arrival counts, dispatch counts)."""
     t = state.t
-    district = state.district
-    d = district.num_pdcs
-    mps = district.meters_per_slot
-    home, free = state.home, state.free
+    free, due = state.free, state.due
 
     # a moved drone leaves its old entry behind; only the live one counts
-    for uid in state.due.pop(t, ()):
-        if free[uid] == t:
-            free[uid] = IDLE_FREE
-            insort(state.idle[home[uid]], uid)
+    ending = due.pop(t, None)
+    if ending:
+        home, idle = state.home, state.idle
+        for uid in ending:
+            if free[uid] == t:
+                free[uid] = IDLE_FREE
+                insort(idle[home[uid]], uid)
 
-    arrived = [0] * d
-    for i, proc in enumerate(state.processes):
-        arng = state.arrival_rngs[i]
+    lanes = state.lanes
+    arrived = [0] * len(lanes)
+    for i, (proc, interval, arng, drng, region, queue, _) in enumerate(lanes):
         # no truck, and no draw, off the opportunity slots
-        size = proc.draw_batch(t, arng) if arrival_opportunity(t, proc.truck_interval) else 0
-        if size:
-            arrived[i] = size
-            region = district.regions[i]
-            dests = sample_destinations(region, state.dest_rngs[i], size)
-            ox, oy = region.pdc_location
-            trips = np.ceil(np.hypot(dests[:, 0] - ox, dests[:, 1] - oy) / mps)
-            points = zip(dests[:, 0].tolist(), dests[:, 1].tolist())
-            state.queues[i].extend(zip(trips.astype(np.int64).tolist(), points))
+        if t % interval == 0:
+            size = proc.draw_batch(t, arng)
+            if size:
+                arrived[i] = size
+                dests = sample_destinations(region, drng, size)
+                ox, oy = region.pdc_location
+                xs, ys = dests.T
+                trips = np.ceil(np.hypot(xs - ox, ys - oy) / state.district.meters_per_slot)
+                points = zip(xs.tolist(), ys.tolist())
+                queue.extend(zip(trips.astype(np.int64).tolist(), points))
+    # each process draws from its own generator, so stepping the chains after
+    # every center's arrivals is the same as stepping each after its own
+    for proc, arng in state.phased:
         proc.advance_slot(t, arng)
 
-    dispatched = [0] * d
-    for i in range(d):
-        queue = state.queues[i]
-        idle = state.idle[i + 1]
-        while queue and idle:
-            uid = idle.pop(0)
-            trip, state.dest[uid] = queue.popleft()
-            state.start[uid] = t
+    dispatched = [0] * len(lanes)
+    start, drop, back, dest = state.start, state.drop, state.back, state.dest
+    for i, (_, _, _, _, _, queue, idle) in enumerate(lanes):
+        if not (queue and idle):
+            continue
+        k = min(len(queue), len(idle))
+        # FCFS: the lowest idle ids take the oldest packages
+        uids = idle[:k]
+        del idle[:k]
+        for uid in uids:
+            trip, dest[uid] = queue.popleft()
+            start[uid] = t
             # a delivery occupies at least one slot
-            state.drop[uid] = drop = t + (trip if trip > 1 else 1)
-            state.back[uid] = back = drop + trip
-            _book(state, uid, back + 1)
-            dispatched[i] += 1
+            drop[uid] = out = t + (trip if trip > 1 else 1)
+            back[uid] = home_at = out + trip
+            free[uid] = ready = home_at + 1
+            if ready in due:
+                due[ready].append(uid)
+            else:
+                due[ready] = [uid]
+        dispatched[i] = k
 
     state.t = t + 1
     return arrived, dispatched

@@ -81,6 +81,31 @@ def build_state(district, drones, t=0):
     )
 
 
+def markov_arrivals(proc, rng, slots):
+    """Per-slot batch sizes and phases of a Markov-modulated process, drawn
+    long-hand with one scalar rng.random() per phase step.
+
+    Each slot: on an opportunity, the truck coin and its batch size; then the
+    phase step (every slot, or only on opportunities when per_slot_phase is
+    false). The phase listed for a slot is the one after its step.
+    """
+    smallest = proc.batch_mean - proc.batch_half_width
+    largest = proc.batch_mean + proc.batch_half_width
+    high = True
+    batches, phases = [], []
+    for t in range(slots):
+        size = 0
+        if t % proc.truck_interval == 0:
+            if rng.random() < (proc.p_high if high else proc.p_low):
+                size = int(rng.integers(smallest, largest, endpoint=True))
+        if proc.per_slot_phase or t % proc.truck_interval == 0:
+            u = rng.random()
+            high = u >= proc.p_high_to_low if high else u < proc.p_low_to_high
+        batches.append(size)
+        phases.append(high)
+    return batches, phases
+
+
 def replay_schedule(state, requests, rng):
     """Step-by-step replay of the swap routine.
 

@@ -3,6 +3,8 @@ import pytest
 
 from dronefleet.arrivals import ArrivalProcess, arrival_opportunity
 
+from oracles import markov_arrivals
+
 
 def bernoulli(p, mean=55, half_width=15):
     return ArrivalProcess(truck_interval=30, batch_mean=mean, batch_half_width=half_width, p_high=p)
@@ -138,3 +140,43 @@ def test_mmb_symmetric_occupancy():
         high += proc.is_high
         proc.advance_slot(t, rng)
     assert abs(high / n - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("per_slot_phase", [True, False], ids=["per-slot", "per-opportunity"])
+def test_mmb_matches_a_scalar_chain_in_simulator_order(per_slot_phase):
+    # the simulator's order: the opportunity's draws, then the phase step
+    proc = mmb(0.15, 0.15, per_slot_phase)
+    rng = np.random.default_rng(21)
+    batches, phases = [], []
+    for t in range(20_000):
+        batches.append(proc.draw_batch(t, rng) if t % proc.truck_interval == 0 else 0)
+        proc.advance_slot(t, rng)
+        phases.append(proc.is_high)
+    want_batches, want_phases = markov_arrivals(
+        mmb(0.15, 0.15, per_slot_phase), np.random.default_rng(21), 20_000
+    )
+    assert batches == want_batches
+    assert phases == want_phases
+    assert 0 < sum(phases) < len(phases) and sum(b > 0 for b in batches) > 100
+
+
+@pytest.mark.parametrize("jump", ["skipped-slot", "other-generator"])
+def test_mmb_step_after_a_jump_takes_a_fresh_uniform(jump):
+    # The first step draws the uniforms for slots 0..29 in one call. A step
+    # that skips a slot, or comes with another generator, must not take the
+    # next of those but the first of a new block from the generator it is
+    # given. With both leave probabilities 0.5 the step shows its uniform.
+    for seed in range(200):
+        proc = mmb(0.5, 0.5)
+        rng = np.random.default_rng(seed)
+        proc.advance_slot(0, rng)  # draws ahead for slots 0..29
+        if jump == "skipped-slot":
+            twin = np.random.default_rng(seed)
+            twin.random(30)
+            t, gen, u = 2, rng, twin.random()
+        else:
+            gen = np.random.default_rng(1000 + seed)
+            t, u = 1, np.random.default_rng(1000 + seed).random()
+        high = proc.is_high
+        proc.advance_slot(t, gen)
+        assert proc.is_high == (u >= 0.5 if high else u < 0.5), seed

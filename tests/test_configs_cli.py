@@ -283,6 +283,43 @@ def test_bad_section_or_district_type_exits_2(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+# integer settings given a fractional number, one list entry among them
+NON_INTEGRAL = [
+    (("total_uavs",), 40.9),
+    (("horizon_slots",), 600.5),
+    (("train", "episodes"), 2.7),
+    (("arrival", "batch_means", 0), 55.5),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value", NON_INTEGRAL, ids=[".".join(map(str, p)) for p, _ in NON_INTEGRAL]
+)
+def test_non_integral_count_exits_2(tmp_path, capsys, path, value):
+    doc = base_doc(controller="threshold", train={"episodes": 2})
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float(round(value))
+    config_from_dict(copy.deepcopy(doc))  # a whole float is read as an int
+    node[path[-1]] = value
+    out = tmp_path / "out"
+    assert main(["eval", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "whole number" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [0, -5])
+def test_delta_below_one_exits_2(tmp_path, capsys, delta):
+    config = write_config(tmp_path, base_doc(controller="threshold", delta=delta))
+    out = tmp_path / "out"
+    assert main(["eval", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "delta" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unreadable_district_file_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, base_doc(district=str(tmp_path)))  # a directory
     assert main(["eval", "--config", config, "--out", str(tmp_path / "out")]) == 2

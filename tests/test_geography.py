@@ -76,10 +76,48 @@ def test_single_sample_matches_batch_of_one():
     assert a == (float(b[0]), float(b[1]))
 
 
+def test_batches_match_a_long_hand_draw_per_point():
+    # per point: a sub-region by weight from its own uniform, then
+    # Generator.uniform inside it; the batch draws the sub-region uniforms
+    # first, then the coordinates in point order
+    three = Region(
+        pdc_location=(0.0, 0.0),
+        subregions=(
+            SubRegion((-500.0, 0.0), (0.0, 250.0), 1.5),
+            SubRegion((0.0, -300.0), (800.0, 0.0), 0.5),
+            SubRegion((40.0, 40.0), (41.0, 90.0), 2.0),
+        ),
+    )
+    for region in (*builtin_district().regions, three):
+        weights = [s.weight for s in region.subregions]
+        cum = np.cumsum(weights)
+        for seed, count in [(1, 1), (2, 7), (3, 90), (4, 113)]:
+            want_rng = np.random.default_rng(seed)
+            picks = [
+                min(int(np.searchsorted(cum, u * sum(weights), side="right")), len(cum) - 1)
+                for u in want_rng.random(count)
+            ]
+            want = [
+                want_rng.uniform(region.subregions[k].min_corner, region.subregions[k].max_corner)
+                for k in picks
+            ]
+            got = sample_destinations(region, np.random.default_rng(seed), count)
+            assert got.tolist() == np.array(want).tolist()
+
+
 def test_zero_weight_region_rejected():
     region = Region(
         pdc_location=(0.0, 0.0),
         subregions=(SubRegion((0.0, 0.0), (1.0, 1.0), 0.0),),
+    )
+    with pytest.raises(ValueError):
+        sample_destinations(region, np.random.default_rng(0), 1)
+
+
+def test_infinite_corner_rejected():
+    region = Region(
+        pdc_location=(0.0, 0.0),
+        subregions=(SubRegion((0.0, 0.0), (math.inf, 1.0), 1.0),),
     )
     with pytest.raises(ValueError):
         sample_destinations(region, np.random.default_rng(0), 1)

@@ -10,7 +10,8 @@ from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
 from dronefleet.runner import fifo_waits, run_epoch, run_policy
-from dronefleet.simcore import init_sim, observe
+from dronefleet.scheduler import schedule
+from dronefleet.simcore import apply_allocation_moves, init_sim, observe, step_slot
 
 
 def tiny_district():
@@ -184,6 +185,45 @@ def test_run_epoch_counts_and_static_moves():
     # queue balance within the epoch
     assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
     assert list(state.home_counts) == [1, 3, 2]
+
+
+def test_run_epoch_matches_a_slot_by_slot_twin():
+    # a busy Markov-modulated PDC and a Bernoulli one, served by few drones,
+    # so that the later epochs start with packages queued
+    def busy_procs():
+        return [
+            ArrivalProcess(
+                truck_interval=10,
+                batch_mean=6,
+                batch_half_width=2,
+                p_high=0.9,
+                p_low=0.3,
+                rule="markov",
+                p_high_to_low=0.05,
+                p_low_to_high=0.05,
+            ),
+            ArrivalProcess(truck_interval=10, batch_mean=8, batch_half_width=2, p_high=0.8),
+        ]
+
+    district = tiny_district()
+    state = init_sim(district, busy_procs(), [1, 1], np.random.SeedSequence(11))
+    twin = init_sim(district, busy_procs(), [1, 1], np.random.SeedSequence(11))
+    for epoch, requests in enumerate([[0, 0], [1, -1], [-1, 1], [0, 0]]):
+        q, arrived, dispatched = run_epoch(state, requests, np.random.default_rng(epoch), 30)
+        moves = schedule(twin, requests, np.random.default_rng(epoch))
+        apply_allocation_moves(twin, moves)
+        if epoch:
+            assert any(twin.queues)  # the epoch starts from queued packages
+        rows = []
+        for _ in range(30):
+            a, dsp = step_slot(twin)
+            rows.append((a, dsp, [len(queue) for queue in twin.queues]))
+        want_a, want_d, want_q = (np.array(col).T for col in zip(*rows))
+        assert np.array_equal(arrived, want_a)
+        assert np.array_equal(dispatched, want_d)
+        assert np.array_equal(q, want_q)
+        assert q.dtype == arrived.dtype == dispatched.dtype == np.int64
+    assert state.t == twin.t == 120
 
 
 @pytest.mark.parametrize("controller", ["static", "threshold", "ql"])

@@ -18,7 +18,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_every_traced_layer_resolves(tmp_path):
     config = tmp_path / "threshold.json"
     scenario = {
-        "arrival": {"type": "bernoulli", "p": 0.25, "batch_means": [55, 50, 75, 90]},
+        # Markov-modulated, so that every process has a phase chain to step
+        "arrival": {
+            "type": "mmb",
+            "p_high": 0.9,
+            "p_low": 0.1,
+            "p_high_to_low": 0.15,
+            "p_low_to_high": 0.15,
+            "batch_means": [55, 50, 75, 90],
+        },
         "controller": "threshold",
         "queue_bounds": [110, 110, 150, 200],
         "seeds": [1],
