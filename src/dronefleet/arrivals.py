@@ -85,27 +85,25 @@ class ArrivalProcess:
 
     def advance_slot(self, t: int, rng: np.random.Generator) -> None:
         # Stepped after the slot's draws, so the initial phase governs t = 0.
-        if self.rule != "markov":
-            return
-        if self.per_slot_phase:
-            # a block serves consecutive slots of one generator up to the next
-            # opportunity; a skipped slot or another generator starts afresh
-            fresh = t == self._next_slot and rng is self._uniforms_rng
-            u = next(self._uniforms, None) if fresh else None
-            if u is None:
+        # A block serves consecutive slots of one generator up to the next
+        # opportunity; a skipped slot or another generator starts afresh.
+        u = None
+        if t == self._next_slot and rng is self._uniforms_rng:
+            u = next(self._uniforms, None)
+        if u is None:
+            if self.rule != "markov":
+                return
+            if self.per_slot_phase:
                 ahead = self.truck_interval - t % self.truck_interval
                 self._uniforms = iter(rng.random(ahead).tolist())
                 self._uniforms_rng = rng
                 u = next(self._uniforms)
-            self._next_slot = t + 1
-        elif t % self.truck_interval == 0:
-            u = rng.random()
-        else:
-            return
-        if self.is_high:
-            self.is_high = not (u < self.p_high_to_low)
-        else:
-            self.is_high = u < self.p_low_to_high
+            elif t % self.truck_interval == 0:
+                u = rng.random()
+            else:
+                return
+        self._next_slot = t + 1
+        self.is_high = u >= self.p_high_to_low if self.is_high else u < self.p_low_to_high
 
     def draw_batch(self, t: int, rng: np.random.Generator) -> int:
         """Batch size landing at slot t (0 when no truck shows up).

@@ -98,28 +98,40 @@ def sample_destinations(region: Region, rng: np.random.Generator, count: int) ->
     return low + span.take(idx, axis=0) * rng.random(low.shape)
 
 
+def _subregion(doc: dict) -> SubRegion:
+    sub = SubRegion(
+        min_corner=tuple(doc["min"]), max_corner=tuple(doc["max"]), weight=float(doc["weight"])
+    )
+    # written so that NaN fails; a negative weight or an inverted corner
+    # would make sample_destinations draw outside the intended area
+    if not 0.0 <= sub.weight < math.inf:
+        raise ValueError(f"sub-region weight must be finite and >= 0: {doc['weight']!r}")
+    if not all(lo <= hi for lo, hi in zip(sub.min_corner, sub.max_corner)):
+        raise ValueError(f"sub-region min corner exceeds its max corner: {doc['min']!r}")
+    return sub
+
+
 def district_from_dict(doc: dict) -> District:
     try:
         regions = []
         for reg in doc["regions"]:
-            subs = tuple(
-                SubRegion(
-                    min_corner=tuple(s["min"]),
-                    max_corner=tuple(s["max"]),
-                    weight=float(s["weight"]),
-                )
-                for s in reg["subregions"]
-            )
+            subs = tuple(_subregion(s) for s in reg["subregions"])
             if not subs:
                 raise ValueError("region without subregions")
+            if not sum(s.weight for s in subs) > 0:
+                raise ValueError("region has no population weight")
             regions.append(Region(pdc_location=tuple(reg["pdc"]), subregions=subs))
+        total_uavs = int(doc["total_uavs"])
+        # int() would truncate 40.9 to 40
+        if isinstance(doc["total_uavs"], float) and total_uavs != doc["total_uavs"]:
+            raise ValueError(f"total_uavs must be a whole number: {doc['total_uavs']!r}")
         return District(
             regions=tuple(regions),
             port_location=tuple(doc["port"]),
-            total_uavs=int(doc["total_uavs"]),
+            total_uavs=total_uavs,
             speed_kph=float(doc["speed_kph"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed district document: {exc}") from exc
 
 

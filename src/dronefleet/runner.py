@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,13 @@ def run_epoch(
     """
     apply_allocation_moves(state, schedule(state, requests, rng))
     q_start = np.array([len(queue) for queue in state.queues], dtype=np.int64)
-    steps = np.array([step_slot(state) for _ in range(epoch_slots)], dtype=np.int64)
+    # each slot's arrival then dispatch counts, in one flat list
+    flat: list[int] = []
+    for _ in range(epoch_slots):
+        arrived, dispatched = step_slot(state)
+        flat += arrived
+        flat += dispatched
+    steps = np.array(flat, dtype=np.int64).reshape(epoch_slots, 2, len(q_start))
     arrivals, dispatches = steps.transpose(1, 2, 0)  # each (D, epoch_slots)
     # queue balance: the queue is what it held plus arrivals minus dispatches
     q = q_start[:, None] + np.cumsum(arrivals - dispatches, axis=1)
@@ -78,14 +83,18 @@ def run_policy(
     arrival_trace = np.zeros((d, horizon), dtype=np.int64)
     dispatch_trace = np.zeros((d, horizon), dtype=np.int64)
 
-    writer = fh = None
+    fh = None
     if trace_path is not None:
         fh = open(trace_path, "w", newline="")
-        writer = csv.writer(fh)
         header = ["t"]
         for name in ("q", "n", "arrivals", "dispatches"):
             header += [f"{name}_{pdc}" for pdc in range(1, d + 1)]
-        writer.writerow(header)
+        # the bytes csv.writer gives for these names and for plain ints; the
+        # rows are formatted an epoch at a time, since the whole trace at once
+        # would hold every cell as a Python int
+        fh.write(",".join(header) + "\r\n")
+        counts = ",".join(["%d"] * d)
+        row_head, row_tail = f"%d,{counts},", f",{counts},{counts}\r\n"
 
     try:
         for epoch in range(epochs):
@@ -99,10 +108,12 @@ def run_policy(
             n_trace[:, window] = n
             arrival_trace[:, window] = arrived
             dispatch_trace[:, window] = dispatched
-            if writer is not None:
+            if fh is not None:
+                # n holds over the epoch, so it goes into the rows' format
+                rows = (row_head + ",".join(map(str, n[:, 0].tolist())) + row_tail) * epoch_slots
                 slots = np.arange(window.start, window.stop)[None, :]
-                block = np.concatenate((slots, q, np.broadcast_to(n, q.shape), arrived, dispatched))
-                writer.writerows(block.T.tolist())
+                block = np.concatenate((slots, q, arrived, dispatched))
+                fh.write(rows % tuple(block.T.ravel().tolist()))
     finally:
         if fh is not None:
             fh.close()

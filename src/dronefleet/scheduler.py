@@ -110,10 +110,11 @@ def assign_donors(
         pdc = needy.pop(int(rng.integers(len(needy))))
         here = district.location_of(pdc)
         ranked = sorted(pool, key=lambda e: (e.approach_m + distance(e.pickup, here), e.uav_id))
-        take = min(requests[pdc - 1], len(pool))
-        for entry in ranked[:take]:
-            moves.append((entry.uav_id, pdc))
-            pool.remove(entry)
+        granted = ranked[: requests[pdc - 1]]
+        moves.extend((entry.uav_id, pdc) for entry in granted)
+        # the rest keep their donor-set order, which the port leftovers follow
+        taken = {entry.uav_id for entry in granted}
+        pool = [entry for entry in pool if entry.uav_id not in taken]
     for entry in pool:
         moves.append((entry.uav_id, 0))
     return moves

@@ -18,6 +18,7 @@ sum(n_d) == total fleet size at every slot.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,24 +51,30 @@ class SimState:
     t: int = 0
     due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
     # per PDC, looked up once rather than every slot: (process, its truck
-    # interval, arrival and destination generators, region, queue, idle list)
+    # interval, arrival and destination generators, region, queue)
     lanes: list[tuple] = field(init=False, repr=False, compare=False)
+    # per PDC, the (queue, idle list) pair that dispatch pairs up
+    pools: list[tuple] = field(init=False, repr=False, compare=False)
+    # trucks can come only on multiples of this slot count
+    truck_gcd: int = field(init=False, repr=False, compare=False)
     # (process, arrival generator) of each PDC whose rate has a phase chain
     # to step every slot; the other rules draw nothing off their opportunities
     phased: list[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        intervals = [proc.truck_interval for proc in self.processes]
         self.lanes = list(
             zip(
                 self.processes,
-                [proc.truck_interval for proc in self.processes],
+                intervals,
                 self.arrival_rngs,
                 self.dest_rngs,
                 self.district.regions,
                 self.queues,
-                self.idle[1:],
             )
         )
+        self.pools = list(zip(self.queues, self.idle[1:]))
+        self.truck_gcd = math.gcd(*intervals)
         self.phased = [
             (proc, rng)
             for proc, rng in zip(self.processes, self.arrival_rngs)
@@ -143,28 +150,28 @@ def step_slot(state: SimState) -> tuple[list[int], list[int]]:
                 free[uid] = IDLE_FREE
                 insort(idle[home[uid]], uid)
 
-    lanes = state.lanes
-    arrived = [0] * len(lanes)
-    for i, (proc, interval, arng, drng, region, queue, _) in enumerate(lanes):
-        # no truck, and no draw, off the opportunity slots
-        if t % interval == 0:
-            size = proc.draw_batch(t, arng)
-            if size:
-                arrived[i] = size
-                dests = sample_destinations(region, drng, size)
-                ox, oy = region.pdc_location
-                xs, ys = dests.T
-                trips = np.ceil(np.hypot(xs - ox, ys - oy) / state.district.meters_per_slot)
-                points = zip(xs.tolist(), ys.tolist())
-                queue.extend(zip(trips.astype(np.int64).tolist(), points))
+    arrived = [0] * len(state.lanes)
+    # no truck, and no draw, off the opportunity slots
+    if t % state.truck_gcd == 0:
+        for i, (proc, interval, arng, drng, region, queue) in enumerate(state.lanes):
+            if t % interval == 0:
+                size = proc.draw_batch(t, arng)
+                if size:
+                    arrived[i] = size
+                    dests = sample_destinations(region, drng, size)
+                    ox, oy = region.pdc_location
+                    xs, ys = dests.T
+                    trips = np.ceil(np.hypot(xs - ox, ys - oy) / state.district.meters_per_slot)
+                    points = zip(xs.tolist(), ys.tolist())
+                    queue.extend(zip(trips.astype(np.int64).tolist(), points))
     # each process draws from its own generator, so stepping the chains after
     # every center's arrivals is the same as stepping each after its own
     for proc, arng in state.phased:
         proc.advance_slot(t, arng)
 
-    dispatched = [0] * len(lanes)
+    dispatched = [0] * len(state.pools)
     start, drop, back, dest = state.start, state.drop, state.back, state.dest
-    for i, (_, _, _, _, _, queue, idle) in enumerate(lanes):
+    for i, (queue, idle) in enumerate(state.pools):
         if not (queue and idle):
             continue
         k = min(len(queue), len(idle))

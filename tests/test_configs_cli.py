@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import dronefleet
 from dronefleet.cli import main
 from dronefleet.configs import (
     BUILTIN_SCENARIOS,
@@ -325,6 +326,54 @@ def test_unreadable_district_file_exits_2(tmp_path, capsys):
     assert main(["eval", "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def bundled_district_doc():
+    path = os.path.join(os.path.dirname(dronefleet.__file__), "data", "district.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_district_file_fleet_of_whole_float_loads(tmp_path):
+    doc = bundled_district_doc()
+    doc["total_uavs"] = 40.0
+    district = write_config(tmp_path, doc, "district.json")
+    cfg = config_from_dict(base_doc(district=district))
+    assert cfg.district.total_uavs == 40 and isinstance(cfg.district.total_uavs, int)
+
+
+def _fractional_fleet(doc):
+    doc["total_uavs"] = 40.9
+
+
+def _negative_weight(doc):
+    first, second = doc["regions"][0]["subregions"]
+    first["weight"], second["weight"] = -1, 2
+
+
+def _inverted_corner(doc):
+    sub = doc["regions"][1]["subregions"][0]
+    sub["min"], sub["max"] = sub["max"], sub["min"]
+
+
+def _weightless_region(doc):
+    for sub in doc["regions"][2]["subregions"]:
+        sub["weight"] = 0
+
+
+@pytest.mark.parametrize(
+    "fault", [_fractional_fleet, _negative_weight, _inverted_corner, _weightless_region]
+)
+def test_bad_district_file_exits_2(tmp_path, capsys, fault):
+    doc = bundled_district_doc()
+    fault(doc)
+    district = write_config(tmp_path, doc, "district.json")
+    config = write_config(tmp_path, base_doc(district=district))
+    out = tmp_path / "out"
+    assert main(["eval", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad district document" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

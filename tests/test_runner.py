@@ -1,4 +1,5 @@
 import csv
+import io
 from collections import deque
 from dataclasses import replace
 
@@ -128,6 +129,39 @@ def test_trace_csv_layout(tmp_path):
         assert int(row[0]) == slot
         assert int(row[1]) == traces.q[0, slot]
         assert int(row[3]) == traces.n[0, slot]
+
+
+def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
+    # the threshold controller moves drones between epochs, so n changes
+    cfg = replace(load_experiment_config("mmb"), controller="threshold")
+    d = cfg.district.num_pdcs
+    path = tmp_path / "trace.csv"
+    traces = run_policy(
+        cfg.district,
+        cfg.make_processes(),
+        cfg.build_controller(),
+        cfg.initial_allocation_counts(),
+        cfg.reward.epoch_slots,
+        600,
+        seed=3,
+        trace_path=str(path),
+    )
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [[int(cell) for cell in row] for row in rows]
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert path.read_bytes() == want.getvalue().encode()
+
+    cells = np.array(rows).T
+    assert np.array_equal(cells[0], np.arange(600))
+    q, n, arrived, dispatched = cells[1:].reshape(4, d, 600)
+    assert np.array_equal(q, traces.q) and np.array_equal(n, traces.n)
+    assert (n != n[:, :1]).any()
+    assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
+    assert [len(w) for w in traces.waits] == dispatched.sum(axis=1).tolist()
 
 
 def test_rejects_bad_horizon():

@@ -2,9 +2,11 @@
 
 bench/tracer.py looks its layers up by name and reads a missing one as 0,
 so a renamed function would silently zero a per-layer metric. This runs it
-on a short eval and requires that nothing is left unmeasured.
+on a short eval and requires that nothing is left unmeasured, and that the
+tracer can count the slot kernel's calls and read its dispatch counts.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -51,6 +53,7 @@ def test_every_traced_layer_resolves(tmp_path):
         "600",
         "--out",
         str(tmp_path / "out"),
+        "--trace",
     ]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -59,3 +62,11 @@ def test_every_traced_layer_resolves(tmp_path):
     # the arrival layers are methods of the one process class
     assert doc["layers"]["arrivals.draw_batch"]["calls"] > 0
     assert doc["layers"]["arrivals.advance_slot"]["calls"] == 4 * 600
+    # one step_slot call per slot, and its dispatch counts are the trace's
+    assert doc["layers"]["simcore.step_slot"]["calls"] == 600
+    with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 600
+    dispatched = sum(int(v) for row in rows for k, v in row.items() if k.startswith("dispatches_"))
+    assert dispatched > 0
+    assert doc["counters"]["simcore.packages_dispatched"] == dispatched
