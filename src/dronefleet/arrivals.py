@@ -9,8 +9,7 @@ whole batch of packages at once.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +34,10 @@ class ArrivalProcess:
     - markov: a chain that starts high and leaves its phase with
       p_high_to_low or p_low_to_high. By default it is stepped once per
       slot; with per_slot_phase False it steps once per truck opportunity,
-      which stretches mean phase sojourns by the truck interval. Stepped
-      per slot, the chain is the only draw between two opportunities, so
-      its uniforms up to the next opportunity come in one call; they are
-      the same doubles that one call per slot would give.
+      which stretches mean phase sojourns by the truck interval. Only
+      opportunities read the phase, so the simulator steps the chain over a
+      whole truck interval in one advance_slot call; its uniforms come in
+      one rng.random call, the same doubles that one call per step gives.
 
     Batch sizes are integer-uniform on
     [batch_mean - batch_half_width, batch_mean + batch_half_width].
@@ -55,13 +54,6 @@ class ArrivalProcess:
     p_low_to_high: float = 0.0
     per_slot_phase: bool = True
     is_high: bool = True
-    # the chain's drawn-ahead uniforms: their generator, and the slot whose
-    # step takes the next one
-    _uniforms: Iterator[float] = field(default=iter(()), init=False, repr=False, compare=False)
-    _uniforms_rng: np.random.Generator | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _next_slot: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rule not in RATE_RULES:
@@ -83,27 +75,24 @@ class ArrivalProcess:
             high = self.is_high
         return self.p_high if high else self.p_low
 
-    def advance_slot(self, t: int, rng: np.random.Generator) -> None:
-        # Stepped after the slot's draws, so the initial phase governs t = 0.
-        # A block serves consecutive slots of one generator up to the next
-        # opportunity; a skipped slot or another generator starts afresh.
-        u = None
-        if t == self._next_slot and rng is self._uniforms_rng:
-            u = next(self._uniforms, None)
-        if u is None:
-            if self.rule != "markov":
-                return
-            if self.per_slot_phase:
-                ahead = self.truck_interval - t % self.truck_interval
-                self._uniforms = iter(rng.random(ahead).tolist())
-                self._uniforms_rng = rng
-                u = next(self._uniforms)
-            elif t % self.truck_interval == 0:
-                u = rng.random()
-            else:
-                return
-        self._next_slot = t + 1
-        self.is_high = u >= self.p_high_to_low if self.is_high else u < self.p_low_to_high
+    def advance_slot(self, t: int, rng: np.random.Generator, slots: int = 1) -> None:
+        """Step the phase chain over the `slots` slots from t on.
+
+        A slot's step comes after its draws, so the initial phase governs
+        t = 0. Only the markov rule has a chain; per opportunity, it steps
+        only on the opportunity slots among them.
+        """
+        if self.rule != "markov":
+            return
+        if not self.per_slot_phase:
+            interval = self.truck_interval
+            slots = (t + slots - 1) // interval - (t - 1) // interval
+        if slots <= 0:
+            return
+        high, to_low, to_high = self.is_high, self.p_high_to_low, self.p_low_to_high
+        for u in rng.random(slots).tolist():
+            high = u >= to_low if high else u < to_high
+        self.is_high = high
 
     def draw_batch(self, t: int, rng: np.random.Generator) -> int:
         """Batch size landing at slot t (0 when no truck shows up).

@@ -46,6 +46,8 @@ def _setup(args, command: str, pattern: str | None = None, algorithms=None):
         raise ConfigError("--horizon must be >= 1")
     if seeds and min(seeds) < 0:
         raise ConfigError("--seed and --seeds must be >= 0")
+    if seeds and len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds lists a seed more than once: {seeds}")
 
     cfg = load_experiment_config(pattern or args.config)
     if horizon is not None:
@@ -70,8 +72,30 @@ def _setup(args, command: str, pattern: str | None = None, algorithms=None):
             path = os.path.join(args.checkpoints, pattern or "", f"agent_pdc{pdc}.json")
             if not os.path.exists(path):
                 raise CheckpointError(f"missing checkpoint {path}")
-            nets.append(load_checkpoint(path)[0])
+            net, _, echo = load_checkpoint(path)
+            _check_echo(echo, cfg, pdc, path)
+            nets.append(net)
     return cfg, out, seeds or cfg.seeds, nets
+
+
+def _check_echo(echo, cfg: ExperimentConfig, pdc: int, path: str) -> None:
+    """A checkpoint trained for another center, delta or epoch length does
+    not fit this config. Another arrival pattern does: evaluating across
+    patterns is a use of its own. A value the echo leaves out is not checked."""
+    if not isinstance(echo, dict):
+        raise CheckpointError(f"malformed checkpoint {path}: its config echo is not an object")
+    reward = echo.get("reward")
+    trained = {
+        "pdc": echo.get("pdc"),
+        "delta": echo.get("delta"),
+        "epoch_slots": reward.get("epoch_slots") if isinstance(reward, dict) else None,
+    }
+    wanted = {"pdc": pdc, "delta": cfg.delta, "epoch_slots": cfg.reward.epoch_slots}
+    for key, value in trained.items():
+        if value is not None and value != wanted[key]:
+            raise CheckpointError(
+                f"checkpoint {path} was trained with {key} {value!r}, the config has {wanted[key]}"
+            )
 
 
 def _train_one_seed(job):
@@ -96,6 +120,8 @@ def _write_curve(path: str, curve: list) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     cfg, out, seeds, _ = _setup(args, "train", algorithms=())
     curves_dir = os.path.join(out, "curves")
     ckpt_dir = os.path.join(out, "checkpoints")

@@ -191,6 +191,11 @@ def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
     means = _numbers(arr.get("batch_means"), "arrival.batch_means", int, low=half)
     if len(means) != num_pdcs:
         raise ConfigError("arrival.batch_means must list one mean per PDC")
+    # a string such as "no" would read as true
+    if not isinstance(arr["per_slot_phase"], bool):
+        raise ConfigError(
+            f"arrival.per_slot_phase must be true or false: {arr['per_slot_phase']!r}"
+        )
     args = {
         "truck_interval": _number(
             arr["truck_interval_mins"], "arrival.truck_interval_mins", int, low=1
@@ -269,6 +274,8 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
     seeds = _numbers(doc.get("seeds", [1, 2, 3]), "seeds", int, low=0)
     if not seeds:
         raise ConfigError("seeds must be a nonempty list")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds lists a seed more than once: {seeds}")
 
     horizon = _number(doc.get("horizon_slots", 100_000), "horizon_slots", int, low=1)
     warmup = _number(doc.get("warmup_slots", 1_000), "warmup_slots", int, low=0)

@@ -87,15 +87,30 @@ def travel_time_slots(dist_m: float, speed_kph: float) -> int:
     return math.ceil(dist_m / (speed_kph * 1000.0 / 60.0))
 
 
-def sample_destinations(region: Region, rng: np.random.Generator, count: int) -> np.ndarray:
+def sample_destinations(
+    region: Region, rng: np.random.Generator, count: int, batches: list[int] | None = None
+) -> np.ndarray:
     """Draw `count` delivery points, shape (count, 2): sub-region by weight,
-    then uniform inside the chosen rectangle."""
+    then uniform inside the chosen rectangle.
+
+    A batch takes its sub-region picks, then its coordinates, from rng.
+    `batches`, sizes that sum to count (default: one batch), gives the
+    points that one call per batch, in turn, would give.
+    """
+    sizes = np.asarray([count] if batches is None else batches, dtype=np.int64)
+    if sizes.sum() != count:
+        raise ValueError("batch sizes must sum to count")
+    # Generator.random fills its doubles one after another, so one call
+    # holds every batch's draws in order: each batch's picks, then its coordinates
+    u = rng.random(3 * count)
+    is_pick = np.repeat(
+        np.tile([True, False], len(sizes)), np.column_stack((sizes, 2 * sizes)).ravel()
+    )
     cum, total, lo, span = region._sampler
-    idx = np.minimum(cum.searchsorted(rng.random(count) * total, side="right"), len(cum) - 1)
-    low = lo.take(idx, axis=0)
+    idx = np.minimum(cum.searchsorted(u[is_pick] * total, side="right"), len(cum) - 1)
     # Generator.uniform(low, high) draws low + (high - low) * u, u filled in
     # C order; written out, the same doubles cost a fifth of its time
-    return low + span.take(idx, axis=0) * rng.random(low.shape)
+    return lo.take(idx, axis=0) + span.take(idx, axis=0) * u[~is_pick].reshape(count, 2)
 
 
 def _subregion(doc: dict) -> SubRegion:

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simcore
 from .controllers import Controller
 from .geography import District
 from .scheduler import schedule
-from .simcore import SimState, apply_allocation_moves, init_sim, observe, step_slot
+from .simcore import SimState, apply_allocation_moves, init_sim, observe
 
 
 @dataclass
@@ -21,26 +22,27 @@ class RunTraces:
 
 
 def run_epoch(
-    state: SimState, requests: list[int], rng: np.random.Generator, epoch_slots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schedule and apply the fleet moves for `requests`, then step one epoch.
-
-    Returns the epoch's per-slot queue lengths, arrival counts and dispatch
-    counts, each of shape (D, epoch_slots).
-    """
+    state: SimState, requests: list[int], rng: np.random.Generator, counts: np.ndarray
+) -> None:
+    """Schedule and apply the fleet moves for `requests`, then step one epoch
+    of len(counts) slots in one kernel call. Each slot's arrival and dispatch
+    counts go into `counts`, an int64 array of shape (epoch_slots, 2, D)."""
     apply_allocation_moves(state, schedule(state, requests, rng))
-    q_start = np.array([len(queue) for queue in state.queues], dtype=np.int64)
-    # each slot's arrival then dispatch counts, in one flat list
-    flat: list[int] = []
-    for _ in range(epoch_slots):
-        arrived, dispatched = step_slot(state)
-        flat += arrived
-        flat += dispatched
-    steps = np.array(flat, dtype=np.int64).reshape(epoch_slots, 2, len(q_start))
-    arrivals, dispatches = steps.transpose(1, 2, 0)  # each (D, epoch_slots)
-    # queue balance: the queue is what it held plus arrivals minus dispatches
-    q = q_start[:, None] + np.cumsum(arrivals - dispatches, axis=1)
-    return q, arrivals, dispatches
+    arrived, dispatched = simcore.step_slot(state, len(counts))
+    counts[:, 0].flat = arrived
+    counts[:, 1].flat = dispatched
+
+
+def queue_trace(arrivals: np.ndarray, dispatches: np.ndarray, q_start) -> np.ndarray:
+    """Per-slot queue lengths, C-contiguous (D, slots), of queues that held
+    q_start before the slots of these (D, slots) counts: what each held plus
+    its arrivals minus its dispatches. Built in place, so that no
+    whole-trace temporary is made."""
+    q = np.empty(arrivals.shape, dtype=np.int64)
+    np.subtract(arrivals, dispatches, out=q)
+    np.cumsum(q, axis=1, out=q)
+    q += np.asarray(q_start, dtype=np.int64)[:, None]
+    return q
 
 
 def fifo_waits(arrivals: np.ndarray, dispatches: np.ndarray) -> np.ndarray:
@@ -78,45 +80,55 @@ def run_policy(
     d = district.num_pdcs
     epochs = -(-horizon_slots // epoch_slots)
     horizon = epochs * epoch_slots
-    q_trace = np.zeros((d, horizon), dtype=np.int64)
-    n_trace = np.zeros((d, horizon), dtype=np.int64)
-    arrival_trace = np.zeros((d, horizon), dtype=np.int64)
-    dispatch_trace = np.zeros((d, horizon), dtype=np.int64)
-
-    fh = None
-    if trace_path is not None:
-        fh = open(trace_path, "w", newline="")
-        header = ["t"]
-        for name in ("q", "n", "arrivals", "dispatches"):
-            header += [f"{name}_{pdc}" for pdc in range(1, d + 1)]
-        # the bytes csv.writer gives for these names and for plain ints; the
-        # rows are formatted an epoch at a time, since the whole trace at once
-        # would hold every cell as a Python int
-        fh.write(",".join(header) + "\r\n")
-        counts = ",".join(["%d"] * d)
-        row_head, row_tail = f"%d,{counts},", f",{counts},{counts}\r\n"
-
+    counts = np.empty((horizon, 2, d), dtype=np.int64)
+    n_epochs = np.empty((epochs, d), dtype=np.int64)
+    fh = open(trace_path, "w", newline="") if trace_path is not None else None
     try:
         for epoch in range(epochs):
             obs = [observe(state, pdc) for pdc in range(1, d + 1)]
             deltas = controller.decide(epoch, obs)
-            q, arrived, dispatched = run_epoch(state, deltas, sched_rng, epoch_slots)
-            # home counts change only between epochs
-            n = state.home_counts[1:, None]
             window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
-            q_trace[:, window] = q
-            n_trace[:, window] = n
-            arrival_trace[:, window] = arrived
-            dispatch_trace[:, window] = dispatched
-            if fh is not None:
-                # n holds over the epoch, so it goes into the rows' format
-                rows = (row_head + ",".join(map(str, n[:, 0].tolist())) + row_tail) * epoch_slots
-                slots = np.arange(window.start, window.stop)[None, :]
-                block = np.concatenate((slots, q, arrived, dispatched))
-                fh.write(rows % tuple(block.T.ravel().tolist()))
+            run_epoch(state, deltas, sched_rng, counts[window])
+            # home counts change only between epochs
+            n_epochs[epoch] = state.home_counts[1:]
+
+        # (D, horizon) views of the counts; the waits come first, while the
+        # least else is held, since pairing them up takes the most memory
+        arrivals, dispatches = counts[:, 0].T, counts[:, 1].T
+        waits = [fifo_waits(arrivals[i], dispatches[i]) for i in range(d)]
+        # q and n are C-contiguous, as summarize's sums expect
+        q = queue_trace(arrivals, dispatches, [0] * d)
+        if fh is not None:
+            _write_trace(fh, q, n_epochs, arrivals, dispatches, epoch_slots)
     finally:
         if fh is not None:
             fh.close()
 
-    waits = [fifo_waits(arrival_trace[i], dispatch_trace[i]) for i in range(d)]
-    return RunTraces(q=q_trace, n=n_trace, waits=waits, horizon_slots=horizon)
+    n = np.repeat(n_epochs.T, epoch_slots, axis=1)
+    return RunTraces(q=q, n=n, waits=waits, horizon_slots=horizon)
+
+
+# epochs of trace.csv rows formatted at a time; the whole trace at once would
+# hold every cell as a Python int
+TRACE_BLOCK_EPOCHS = 32
+
+
+def _write_trace(fh, q, n_epochs, arrivals, dispatches, epoch_slots: int) -> None:
+    """Write trace.csv: a header, then t, q_*, n_*, arrivals_* and
+    dispatches_* per slot, in the bytes csv.writer gives for these names and
+    for plain ints."""
+    d = len(q)
+    header = ["t"]
+    for name in ("q", "n", "arrivals", "dispatches"):
+        header += [f"{name}_{pdc}" for pdc in range(1, d + 1)]
+    fh.write(",".join(header) + "\r\n")
+    cells = ",".join(["%d"] * d)
+    row_head, row_tail = f"%d,{cells},", f",{cells},{cells}\r\n"
+    for first in range(0, len(n_epochs), TRACE_BLOCK_EPOCHS):
+        block = n_epochs[first : first + TRACE_BLOCK_EPOCHS].tolist()
+        # n holds over an epoch, so it goes into the epoch's rows' format
+        rows = "".join((row_head + ",".join(map(str, n)) + row_tail) * epoch_slots for n in block)
+        window = slice(first * epoch_slots, (first + len(block)) * epoch_slots)
+        slots = np.arange(window.start, window.stop)[None, :]
+        columns = np.concatenate((slots, q[:, window], arrivals[:, window], dispatches[:, window]))
+        fh.write(rows % tuple(columns.T.ravel().tolist()))

@@ -47,16 +47,11 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
     donors: list[DonorEntry] = []
 
     # phases from the clock: delivering while t <= drop, returning while
-    # drop < t <= back; idle drones sit in state.idle
+    # drop < t <= back; idle drones sit in state.idle. The busy drones are
+    # sorted by home only once a center owes more than its idle drones.
     t = state.t
-    returning: list[list[int]] = [[] for _ in range(d + 1)]
-    delivering: list[list[int]] = [[] for _ in range(d + 1)]
-    for uid, (home, drop, back) in enumerate(zip(state.home, state.drop, state.back)):
-        if t <= drop:
-            delivering[home].append(uid)
-        elif t <= back:
-            returning[home].append(uid)
-
+    returning: list[list[int]] = []
+    delivering: list[list[int]] = []
     mps = district.meters_per_slot
     for pdc in range(1, d + 1):
         need = -requests[pdc - 1]
@@ -67,6 +62,14 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
             donors.append(DonorEntry(uav_id=uid, pickup=here, category=IDLE))
         need -= min(need, len(state.idle[pdc]))
         if need > 0:
+            if not returning:
+                returning = [[] for _ in range(d + 1)]
+                delivering = [[] for _ in range(d + 1)]
+                for uid, (home, drop, back) in enumerate(zip(state.home, state.drop, state.back)):
+                    if t <= drop:
+                        delivering[home].append(uid)
+                    elif t <= back:
+                        returning[home].append(uid)
             pool = sorted(returning[pdc], key=lambda u: (-state.drop[u], u))
             for uid in pool[:need]:
                 donors.append(DonorEntry(uav_id=uid, pickup=here, category=RETURNING))

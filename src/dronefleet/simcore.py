@@ -2,10 +2,14 @@
 
 One slot is one minute. Each step handles, in this order:
   1. drones whose free slot is due turn idle,
-  2. truck arrivals and destination sampling, then the phase step of each
-     Markov-modulated arrival process,
+  2. truck arrivals join the local queue,
   3. FCFS dispatch of idle drones against the local queue,
   4. the clock.
+Arrivals do not depend on the fleet, so each center's trucks, batch sizes,
+destinations and trip lengths are drawn a block of slots ahead, in the order
+a slot-by-slot draw takes them from each center's generators: at each
+opportunity the truck and its batch, then the phase chain's steps up to the
+next opportunity; destinations come from their own generator.
 A mission is fixed at dispatch: the package lands at `drop`, the return leg
 ends at `back`, a one-slot battery swap follows and the drone is idle again
 at `free`. Its phase is read off the clock: delivering while t <= drop,
@@ -18,7 +22,6 @@ sum(n_d) == total fleet size at every slot.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,35 +54,28 @@ class SimState:
     t: int = 0
     due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
     # per PDC, looked up once rather than every slot: (process, its truck
-    # interval, arrival and destination generators, region, queue)
+    # interval, arrival and destination generators, region)
     lanes: list[tuple] = field(init=False, repr=False, compare=False)
     # per PDC, the (queue, idle list) pair that dispatch pairs up
     pools: list[tuple] = field(init=False, repr=False, compare=False)
-    # trucks can come only on multiples of this slot count
-    truck_gcd: int = field(init=False, repr=False, compare=False)
-    # (process, arrival generator) of each PDC whose rate has a phase chain
-    # to step every slot; the other rules draw nothing off their opportunities
-    phased: list[tuple] = field(init=False, repr=False, compare=False)
+    # arrivals are drawn for the slots before `drawn`; each PDC's next slot
+    # to draw, and the length of the last block drawn
+    drawn: int = field(init=False, repr=False, compare=False)
+    next_draw: list[int] = field(init=False, repr=False, compare=False)
+    block: int = field(default=0, init=False, repr=False, compare=False)
+    # slot -> batches drawn for it: (PDC index, trips, xs, ys) per batch
+    landing: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        intervals = [proc.truck_interval for proc in self.processes]
-        self.lanes = list(
-            zip(
-                self.processes,
-                intervals,
-                self.arrival_rngs,
-                self.dest_rngs,
-                self.district.regions,
-                self.queues,
+        self.lanes = [
+            (proc, proc.truck_interval, arng, drng, region)
+            for proc, arng, drng, region in zip(
+                self.processes, self.arrival_rngs, self.dest_rngs, self.district.regions
             )
-        )
-        self.pools = list(zip(self.queues, self.idle[1:]))
-        self.truck_gcd = math.gcd(*intervals)
-        self.phased = [
-            (proc, rng)
-            for proc, rng in zip(self.processes, self.arrival_rngs)
-            if proc.rule == "markov"
         ]
+        self.pools = list(zip(self.queues, self.idle[1:]))
+        self.drawn = self.t
+        self.next_draw = [self.t] * len(self.lanes)
 
 
 def init_sim(
@@ -136,62 +132,100 @@ def _book(state: SimState, uid: int, free: int) -> None:
     state.due.setdefault(free, []).append(uid)
 
 
-def step_slot(state: SimState) -> tuple[list[int], list[int]]:
-    """Advance one slot; returns per-PDC (arrival counts, dispatch counts)."""
-    t = state.t
-    free, due = state.free, state.due
+# Look-ahead bound, in slots: the first block covers what the first step
+# asks for and each later one doubles, up to this many slots.
+MAX_BLOCK = 960
 
-    # a moved drone leaves its old entry behind; only the live one counts
-    ending = due.pop(t, None)
-    if ending:
-        home, idle = state.home, state.idle
-        for uid in ending:
-            if free[uid] == t:
-                free[uid] = IDLE_FREE
-                insort(idle[home[uid]], uid)
 
-    arrived = [0] * len(state.lanes)
-    # no truck, and no draw, off the opportunity slots
-    if t % state.truck_gcd == 0:
-        for i, (proc, interval, arng, drng, region, queue) in enumerate(state.lanes):
-            if t % interval == 0:
-                size = proc.draw_batch(t, arng)
-                if size:
-                    arrived[i] = size
-                    dests = sample_destinations(region, drng, size)
-                    ox, oy = region.pdc_location
-                    xs, ys = dests.T
-                    trips = np.ceil(np.hypot(xs - ox, ys - oy) / state.district.meters_per_slot)
-                    points = zip(xs.tolist(), ys.tolist())
-                    queue.extend(zip(trips.astype(np.int64).tolist(), points))
-    # each process draws from its own generator, so stepping the chains after
-    # every center's arrivals is the same as stepping each after its own
-    for proc, arng in state.phased:
-        proc.advance_slot(t, arng)
-
-    dispatched = [0] * len(state.pools)
-    start, drop, back, dest = state.start, state.drop, state.back, state.dest
-    for i, (queue, idle) in enumerate(state.pools):
-        if not (queue and idle):
+def _draw_ahead(state: SimState, until: int) -> None:
+    """Draw every PDC's arrivals for the slots before `until` into
+    state.landing: trucks and batch sizes with the phase chain's steps, then
+    one destination draw for the block's batches."""
+    mps = state.district.meters_per_slot
+    landing = state.landing
+    for i, (proc, interval, arng, drng, region) in enumerate(state.lanes):
+        t = state.next_draw[i]
+        slots, sizes = [], []
+        while t < until:
+            size = proc.draw_batch(t, arng)
+            following = t - t % interval + interval  # the next opportunity
+            proc.advance_slot(t, arng, following - t)
+            if size:
+                slots.append(t)
+                sizes.append(size)
+            t = following
+        state.next_draw[i] = t
+        if not sizes:
             continue
-        k = min(len(queue), len(idle))
-        # FCFS: the lowest idle ids take the oldest packages
-        uids = idle[:k]
-        del idle[:k]
-        for uid in uids:
-            trip, dest[uid] = queue.popleft()
-            start[uid] = t
-            # a delivery occupies at least one slot
-            drop[uid] = out = t + (trip if trip > 1 else 1)
-            back[uid] = home_at = out + trip
-            free[uid] = ready = home_at + 1
-            if ready in due:
-                due[ready].append(uid)
-            else:
-                due[ready] = [uid]
-        dispatched[i] = k
+        dests = sample_destinations(region, drng, sum(sizes), sizes)
+        ox, oy = region.pdc_location
+        xs, ys = dests.T
+        trips = np.ceil(np.hypot(xs - ox, ys - oy) / mps).astype(np.int64).tolist()
+        xs, ys = xs.tolist(), ys.tolist()
+        end = 0
+        for slot, size in zip(slots, sizes):
+            begin, end = end, end + size
+            landing.setdefault(slot, []).append((i, trips[begin:end], xs[begin:end], ys[begin:end]))
+    state.drawn = until
 
-    state.t = t + 1
+
+def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
+    """Advance `slots` slots; returns flat slot-major arrival and dispatch
+    counts, D per slot (per-PDC lists for one slot)."""
+    if slots < 1:
+        raise ValueError("step at least one slot")
+    t0 = state.t
+    stop = t0 + slots
+    if stop > state.drawn:
+        state.block = min(max(stop - state.drawn, 2 * state.block), MAX_BLOCK)
+        _draw_ahead(state, max(stop, state.drawn + state.block))
+
+    free, due, home, idle_lists = state.free, state.due, state.home, state.idle
+    start, drop, back, dest = state.start, state.drop, state.back, state.dest
+    landing, pools = state.landing, state.pools
+    d = len(pools)
+    arrived = [0] * (slots * d)
+    dispatched = [0] * (slots * d)
+    row = 0
+    for t in range(t0, stop):
+        # a moved drone leaves its old entry behind; only the live one counts
+        ending = due.pop(t, None)
+        if ending:
+            for uid in ending:
+                if free[uid] == t:
+                    free[uid] = IDLE_FREE
+                    insort(idle_lists[home[uid]], uid)
+
+        # the packages are built as they land
+        batches = landing.pop(t, None)
+        if batches:
+            for i, trips, xs, ys in batches:
+                arrived[row + i] = len(trips)
+                pools[i][0].extend(zip(trips, zip(xs, ys)))
+
+        i = row
+        for queue, idle in pools:
+            if queue and idle:
+                k = min(len(queue), len(idle))
+                # FCFS: the lowest idle ids take the oldest packages
+                uids = idle[:k]
+                del idle[:k]
+                for uid in uids:
+                    trip, dest[uid] = queue.popleft()
+                    start[uid] = t
+                    # a delivery occupies at least one slot
+                    drop[uid] = out = t + (trip if trip > 1 else 1)
+                    back[uid] = home_at = out + trip
+                    free[uid] = ready = home_at + 1
+                    if ready in due:
+                        due[ready].append(uid)
+                    else:
+                        due[ready] = [uid]
+                dispatched[i] = k
+            i += 1
+        row += d
+
+    state.t = stop
     return arrived, dispatched
 
 

@@ -42,7 +42,7 @@ from .rlagent import (
     epsilon_at,
     select_action,
 )
-from .runner import run_epoch
+from .runner import queue_trace, run_epoch
 from .simcore import SimState, init_sim
 
 logger = logging.getLogger(__name__)
@@ -104,6 +104,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     adam = init_adam(net, lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     sched_rng = np.random.default_rng(master.spawn(1)[0])
+    counts = np.empty((epoch_slots, 2, d), dtype=np.int64)  # one epoch's, reused
 
     sched = EpsilonSchedule(
         total_steps=cfg.episodes * cfg.max_steps_per_episode,
@@ -133,7 +134,9 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
             eps = epsilon_at(global_step, sched)
             actions = select_action(net, encoded, eps, action_rngs)
             deltas = [action_delta(a, scenario.delta) for a in actions.tolist()]
-            q_window, _, _ = run_epoch(state, deltas, sched_rng, epoch_slots)
+            q_start = [len(queue) for queue in state.queues]
+            run_epoch(state, deltas, sched_rng, counts)
+            q_window = queue_trace(counts[:, 0].T, counts[:, 1].T, q_start)
 
             saturated = bool((q_window > cfg.saturation_cutoff).any())
             next_encoded = _encode_observations(state)

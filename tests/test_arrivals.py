@@ -160,23 +160,39 @@ def test_mmb_matches_a_scalar_chain_in_simulator_order(per_slot_phase):
     assert 0 < sum(phases) < len(phases) and sum(b > 0 for b in batches) > 100
 
 
-@pytest.mark.parametrize("jump", ["skipped-slot", "other-generator"])
-def test_mmb_step_after_a_jump_takes_a_fresh_uniform(jump):
-    # The first step draws the uniforms for slots 0..29 in one call. A step
-    # that skips a slot, or comes with another generator, must not take the
-    # next of those but the first of a new block from the generator it is
-    # given. With both leave probabilities 0.5 the step shows its uniform.
-    for seed in range(200):
-        proc = mmb(0.5, 0.5)
-        rng = np.random.default_rng(seed)
-        proc.advance_slot(0, rng)  # draws ahead for slots 0..29
-        if jump == "skipped-slot":
-            twin = np.random.default_rng(seed)
-            twin.random(30)
-            t, gen, u = 2, rng, twin.random()
-        else:
-            gen = np.random.default_rng(1000 + seed)
-            t, u = 1, np.random.default_rng(1000 + seed).random()
-        high = proc.is_high
-        proc.advance_slot(t, gen)
-        assert proc.is_high == (u >= 0.5 if high else u < 0.5), seed
+@pytest.mark.parametrize("per_slot_phase", [True, False], ids=["per-slot", "per-opportunity"])
+def test_mmb_stepped_once_per_interval_matches_a_scalar_chain(per_slot_phase):
+    # the simulator's order: an opportunity's draws, then one chain call up
+    # to the next opportunity
+    proc = mmb(0.15, 0.15, per_slot_phase)
+    rng = np.random.default_rng(21)
+    interval, slots = proc.truck_interval, 18_000
+    batches, phases = [], []
+    for t in range(0, slots, interval):
+        batches.append(proc.draw_batch(t, rng))
+        proc.advance_slot(t, rng, interval)
+        phases.append(proc.is_high)
+    oracle_rng = np.random.default_rng(21)
+    want_batches, want_phases = markov_arrivals(
+        mmb(0.15, 0.15, per_slot_phase), oracle_rng, slots
+    )
+    assert batches == want_batches[::interval]
+    assert phases == want_phases[interval - 1 :: interval]
+    assert rng.random() == oracle_rng.random()  # the same uniforms taken
+    assert 0 < sum(phases) < len(phases) and sum(b > 0 for b in batches) > 100
+
+
+@pytest.mark.parametrize("per_slot_phase", [True, False], ids=["per-slot", "per-opportunity"])
+def test_mmb_span_step_matches_single_slot_steps(per_slot_phase):
+    # spans that start and end anywhere, opportunities or not
+    spans = np.random.default_rng(3).integers(0, 75, size=300).tolist()
+    proc, twin = mmb(0.3, 0.3, per_slot_phase), mmb(0.3, 0.3, per_slot_phase)
+    rng, twin_rng = np.random.default_rng(8), np.random.default_rng(8)
+    t = 0
+    for span in spans:
+        proc.advance_slot(t, rng, span)
+        for slot in range(t, t + span):
+            twin.advance_slot(slot, twin_rng)
+        t += span
+        assert proc.is_high == twin.is_high, t
+    assert rng.random() == twin_rng.random()

@@ -16,7 +16,7 @@ from dronefleet.configs import (
 )
 from dronefleet.metrics import CSV_COLUMNS
 from dronefleet.network import init_network
-from dronefleet.rlagent import load_checkpoint, save_checkpoint
+from dronefleet.rlagent import STATE_SIZE, load_checkpoint, save_checkpoint
 
 
 def base_doc(**overrides):
@@ -76,6 +76,9 @@ def test_validation_rejects_bad_documents():
         base_doc(initial_allocation=[1, 2, 3]),
         base_doc(initial_allocation=[50, 50, 50, 50]),
         base_doc(seeds=[]),
+        base_doc(seeds=[1, 2, 1]),
+        base_doc(arrival={**base_doc()["arrival"], "per_slot_phase": "no"}),
+        base_doc(arrival={**base_doc()["arrival"], "per_slot_phase": 1}),
         base_doc(warmup_slots=600),
         base_doc(ql_update_multiple=0),
         base_doc(total_uavs=0),
@@ -405,6 +408,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["sweep", "--config", config, "--n-uavs", "40", "--seed", "-1"],
         ["compare", "--patterns", "bernoulli", "--algorithms", "static", "--horizon", "0"],
         ["train", "--config", config, "--seeds", "1", "-2"],
+        ["train", "--config", config, "--seeds", "1", "1"],
+        ["train", "--config", config, "--workers", "0"],
+        ["train", "--config", config, "--workers", "-3"],
     ]
     for argv in bad_overrides:
         out = tmp_path / "bad_override"
@@ -553,6 +559,63 @@ def test_cli_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
     argv = ["eval", "--config", "bernoulli", "--checkpoints", str(ckpts), "--out", str(tmp_path / "o")]
     assert main(argv + ["--horizon", "120"]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_per_slot_phase_must_be_a_json_boolean(tmp_path, capsys):
+    arrival = {
+        "type": "mmb",
+        "p_high": 0.9,
+        "p_low": 0.1,
+        "p_high_to_low": 0.15,
+        "p_low_to_high": 0.15,
+        "batch_means": [55, 50, 75, 90],
+        "per_slot_phase": "no",
+    }
+    config = write_config(tmp_path, base_doc(arrival=arrival))
+    assert main(["eval", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "per_slot_phase" in capsys.readouterr().err
+    arrival["per_slot_phase"] = False
+    config = write_config(tmp_path, base_doc(arrival=arrival))
+    assert main(["eval", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_train_duplicate_seeds_named(tmp_path, capsys):
+    config = write_config(tmp_path, base_doc(controller="rl"))
+    out = tmp_path / "o"
+    assert main(["train", "--config", config, "--seeds", "1", "1", "--out", str(out)]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "trained, code",
+    [
+        ({}, 0),
+        ({"arrival": {"type": "mmb"}}, 0),  # evaluating across patterns is allowed
+        ({"delta": 5}, 3),
+        ({"reward": {"epoch_slots": 30}}, 3),
+        ({"pdc": "swapped"}, 3),
+    ],
+    ids=["same", "other-pattern", "delta", "epoch-slots", "pdc"],
+)
+def test_cli_checks_the_checkpoint_echo(tmp_path, capsys, trained, code):
+    cfg = config_from_dict(base_doc(controller="rl", delta=20))
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for pdc in range(1, 5):
+        echo = cfg.checkpoint_echo(seed=1, pdc=pdc)
+        echo.update(trained)
+        if trained.get("pdc") == "swapped":
+            echo["pdc"] = 5 - pdc
+        net = init_network([STATE_SIZE, 32, 32, 3], np.random.default_rng(pdc))
+        save_checkpoint(str(ckpts / f"agent_pdc{pdc}.json"), net, 1, echo)
+    config = write_config(tmp_path, base_doc(controller="rl", delta=20))
+    argv = ["eval", "--config", config, "--checkpoints", str(ckpts), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--horizon", "120"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "checkpoint error" in err and "was trained with" in err
 
 
 def test_cli_compare(tmp_path):

@@ -105,6 +105,27 @@ def test_batches_match_a_long_hand_draw_per_point():
             assert got.tolist() == np.array(want).tolist()
 
 
+def test_block_draw_matches_one_call_per_batch():
+    # the simulator draws a block of batches at once, sometimes a run of
+    # batches split across two blocks
+    sizes = [3, 0, 41, 7, 90, 1, 12]
+    for region in builtin_district().regions:
+        rng = np.random.default_rng(5)
+        want = np.concatenate([sample_destinations(region, rng, size) for size in sizes])
+        whole = sample_destinations(region, np.random.default_rng(5), sum(sizes), sizes)
+        rng = np.random.default_rng(5)
+        split = np.concatenate(
+            [
+                sample_destinations(region, rng, sum(sizes[:3]), sizes[:3]),
+                sample_destinations(region, rng, sum(sizes[3:]), sizes[3:]),
+            ]
+        )
+        assert whole.tobytes() == want.tobytes()
+        assert split.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        sample_destinations(region, rng, 5, [2, 2])
+
+
 def test_zero_weight_region_rejected():
     region = Region(
         pdc_location=(0.0, 0.0),

@@ -10,7 +10,7 @@ from dronefleet.arrivals import ArrivalProcess
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
-from dronefleet.runner import fifo_waits, run_epoch, run_policy
+from dronefleet.runner import fifo_waits, queue_trace, run_epoch, run_policy
 from dronefleet.scheduler import schedule
 from dronefleet.simcore import apply_allocation_moves, init_sim, observe, step_slot
 
@@ -213,7 +213,10 @@ def test_run_policy_waits_match_a_per_package_replay(tmp_path):
 def test_run_epoch_counts_and_static_moves():
     district = tiny_district()
     state = init_sim(district, procs(), [3, 2], np.random.SeedSequence(4))
-    q, arrived, dispatched = run_epoch(state, [0, 0], np.random.default_rng(0), 30)
+    counts = np.empty((30, 2, 2), dtype=np.int64)
+    run_epoch(state, [0, 0], np.random.default_rng(0), counts)
+    arrived, dispatched = counts[:, 0].T, counts[:, 1].T
+    q = queue_trace(arrived, dispatched, [0, 0])
     assert q.shape == arrived.shape == dispatched.shape == (2, 30)
     assert state.t == 30
     # queue balance within the epoch
@@ -243,7 +246,11 @@ def test_run_epoch_matches_a_slot_by_slot_twin():
     state = init_sim(district, busy_procs(), [1, 1], np.random.SeedSequence(11))
     twin = init_sim(district, busy_procs(), [1, 1], np.random.SeedSequence(11))
     for epoch, requests in enumerate([[0, 0], [1, -1], [-1, 1], [0, 0]]):
-        q, arrived, dispatched = run_epoch(state, requests, np.random.default_rng(epoch), 30)
+        q_start = [len(queue) for queue in state.queues]
+        counts = np.empty((30, 2, 2), dtype=np.int64)
+        run_epoch(state, requests, np.random.default_rng(epoch), counts)
+        arrived, dispatched = counts[:, 0].T, counts[:, 1].T
+        q = queue_trace(arrived, dispatched, q_start)
         moves = schedule(twin, requests, np.random.default_rng(epoch))
         apply_allocation_moves(twin, moves)
         if epoch:
@@ -273,6 +280,49 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
     assert len(state.home) == fleet
     for epoch in range(20):
         obs = [observe(state, pdc) for pdc in range(1, d + 1)]
-        run_epoch(state, ctrl.decide(epoch, obs), rng, cfg.reward.epoch_slots)
+        counts = np.empty((cfg.reward.epoch_slots, 2, d), dtype=np.int64)
+        run_epoch(state, ctrl.decide(epoch, obs), rng, counts)
         assert len(state.home) == fleet
         assert int(state.home_counts.sum()) == fleet
+
+
+@pytest.mark.parametrize("controller", ["threshold", "ql"])
+def test_run_policy_matches_a_slot_by_slot_twin(controller):
+    # run_policy builds its traces once, at the end; the twin steps one slot
+    # at a time and replays the FIFO queues package by package
+    cfg = replace(load_experiment_config("mmb"), controller=controller)
+    epoch_slots, d = cfg.reward.epoch_slots, cfg.district.num_pdcs
+    traces = run_policy(
+        cfg.district,
+        cfg.make_processes(),
+        cfg.build_controller(),
+        cfg.initial_allocation_counts(),
+        epoch_slots,
+        1800,
+        seed=3,
+    )
+    env_ss, sched_ss = np.random.SeedSequence(3).spawn(2)
+    sched_rng = np.random.default_rng(sched_ss)
+    state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation_counts(), env_ss)
+    ctrl = cfg.build_controller()
+    q, n = [], []
+    waiting = [deque() for _ in range(d)]
+    waits = [[] for _ in range(d)]
+    for epoch in range(1800 // epoch_slots):
+        obs = [observe(state, pdc) for pdc in range(1, d + 1)]
+        apply_allocation_moves(state, schedule(state, ctrl.decide(epoch, obs), sched_rng))
+        for _ in range(epoch_slots):
+            t = state.t
+            arrived, dispatched = step_slot(state)
+            for i in range(d):
+                waiting[i].extend([t] * arrived[i])
+                for _ in range(dispatched[i]):
+                    born = waiting[i].popleft()
+                    waits[i].append([born, t - born])
+            q.append([len(queue) for queue in state.queues])
+            n.append(state.home_counts[1:].tolist())
+    assert np.array_equal(traces.q, np.array(q).T)
+    assert np.array_equal(traces.n, np.array(n).T)
+    assert [w.tolist() for w in traces.waits] == waits
+    assert traces.q.flags.c_contiguous and traces.n.flags.c_contiguous
+    assert len(set(map(tuple, n))) > 1 and max(map(len, waits)) > 100

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dronefleet.arrivals import ArrivalProcess
+from dronefleet.configs import load_experiment_config
 from dronefleet.geography import District, Region, SubRegion
+from dronefleet.scheduler import schedule
 from dronefleet.simcore import (
     IDLE_FREE,
     apply_allocation_moves,
@@ -269,3 +271,36 @@ def test_fleet_conservation_under_random_moves():
             if state.free[uid] != IDLE_FREE:
                 assert state.free[uid] >= state.t
                 assert uid in state.due[state.free[uid]]
+
+
+def test_multi_slot_step_matches_single_slot_steps():
+    # Markov-modulated centers and moves between the calls; the spans cross
+    # the look-ahead's block ends, so blocks of both states end apart
+    cfg = load_experiment_config("mmb")
+
+    def fresh():
+        return init_sim(cfg.district, cfg.make_processes(), [4, 4, 4, 4], np.random.SeedSequence(8))
+
+    state, twin = fresh(), fresh()
+    rng = np.random.default_rng(0)
+    packages = 0
+    for k in (1, 60, 7, 500, 1, 1300, 60, 2):
+        requests = rng.integers(-3, 4, size=4).tolist()
+        moves = schedule(state, requests, np.random.default_rng(k))
+        assert schedule(twin, requests, np.random.default_rng(k)) == moves
+        apply_allocation_moves(state, moves)
+        apply_allocation_moves(twin, moves)
+        arrived, dispatched = step_slot(state, k)
+        want_arrived, want_dispatched = [], []
+        for _ in range(k):
+            a, dsp = step_slot(twin)
+            want_arrived += a
+            want_dispatched += dsp
+        assert arrived == want_arrived and dispatched == want_dispatched
+        assert state.t == twin.t
+        for name in ("home", "start", "drop", "back", "free", "dest", "idle", "due"):
+            assert getattr(state, name) == getattr(twin, name), name
+        assert [list(q) for q in state.queues] == [list(q) for q in twin.queues]
+        assert state.home_counts.tolist() == twin.home_counts.tolist()
+        packages += sum(dispatched)
+    assert packages > 0
