@@ -16,13 +16,6 @@ import numpy as np
 RATE_RULES = ("constant", "square", "markov")
 
 
-def arrival_opportunity(t: int, truck_interval: int) -> bool:
-    """True on slots where a truck may arrive."""
-    if truck_interval <= 0:
-        raise ValueError("truck interval must be positive")
-    return t % truck_interval == 0
-
-
 @dataclass
 class ArrivalProcess:
     """Trucks at one distribution center. On each opportunity slot a truck
@@ -100,7 +93,7 @@ class ArrivalProcess:
         Consumes no randomness outside opportunity slots, so traces are
         reproducible slot for slot.
         """
-        if not arrival_opportunity(t, self.truck_interval):
+        if t % self.truck_interval:
             return 0
         if rng.random() < self.rate_at(t):
             mean, half = self.batch_mean, self.batch_half_width

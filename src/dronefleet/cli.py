@@ -33,49 +33,52 @@ from .training import train
 logger = logging.getLogger(__name__)
 
 
-def _setup(args, command: str, pattern: str | None = None, algorithms=None):
-    """Check the --horizon and --seed(s) overrides, load the config (the
-    bundled `pattern` under compare) and apply them, make the output
-    directory, write the resolved config there, load the checkpoints when
-    one of `algorithms` (default: the config's controller) is rl, and pick
-    the seeds. Returns (cfg, out, seeds, nets)."""
-    horizon = getattr(args, "horizon", None)
+def _config(args, ref: str, total_uavs: int | None = None) -> ExperimentConfig:
+    """The config `ref` with the command line's values in place of its own:
+    --horizon, --seed(s), and a fleet of `total_uavs` or --n-uavs drones,
+    split statically. configs checks them by its own rules."""
+    overrides = {}
+    if getattr(args, "horizon", None) is not None:
+        overrides["horizon_slots"] = args.horizon
     seed = getattr(args, "seed", None)
     seeds = [seed] if seed is not None else getattr(args, "seeds", None)
-    if horizon is not None and horizon < 1:
-        raise ConfigError("--horizon must be >= 1")
-    if seeds and min(seeds) < 0:
-        raise ConfigError("--seed and --seeds must be >= 0")
-    if seeds and len(set(seeds)) < len(seeds):
-        raise ConfigError(f"--seeds lists a seed more than once: {seeds}")
+    if seeds is not None:
+        overrides["seeds"] = seeds
+    if total_uavs is None:
+        total_uavs = getattr(args, "n_uavs", None)
+    if total_uavs is not None:
+        overrides.update(total_uavs=total_uavs, initial_allocation="static")
+    return load_experiment_config(ref, **overrides)
 
-    cfg = load_experiment_config(pattern or args.config)
-    if horizon is not None:
-        cfg = replace(cfg, horizon_slots=horizon)
-        if cfg.warmup_slots >= cfg.horizon_slots:
-            cfg = replace(cfg, warmup_slots=0)
-    if getattr(args, "n_uavs", None) is not None:
-        cfg = cfg.with_fleet(args.n_uavs)
 
-    out = args.out or os.path.join(os.environ.get("DRONEFLEET_OUT", "runs"), command)
+def _checkpoints(args, cfg: ExperimentConfig, pattern: str = "") -> list:
+    """The per-PDC networks under --checkpoints (in its `pattern` directory
+    under compare), checked against `cfg`."""
+    if not args.checkpoints:
+        raise CheckpointError(f"{args.command} of the rl controller needs --checkpoints")
+    nets = []
+    for pdc in range(1, cfg.district.num_pdcs + 1):
+        path = os.path.join(args.checkpoints, pattern, f"agent_pdc{pdc}.json")
+        if not os.path.exists(path):
+            raise CheckpointError(f"missing checkpoint {path}")
+        net, _, echo = load_checkpoint(path)
+        _check_echo(echo, cfg, pdc, path)
+        nets.append(net)
+    # the controller runs them as one stack
+    if len({tuple(net.layer_sizes) for net in nets}) > 1:
+        raise CheckpointError(f"the checkpoints in {os.path.dirname(path)} differ in layer sizes")
+    return nets
+
+
+def _output_dir(args, resolved: dict) -> str:
+    """Make the output directory and write each config of `resolved` there
+    under its file name. Runs once every input has passed its checks, so a
+    command that fails on its input writes nothing."""
+    out = args.out or os.path.join(os.environ.get("DRONEFLEET_OUT", "runs"), args.command)
     os.makedirs(out, exist_ok=True)
-    resolved = f"resolved_{pattern}.json" if pattern else "resolved_config.json"
-    with open(os.path.join(out, resolved), "w") as fh:
-        json.dump(cfg.resolved_dict(), fh, indent=2, sort_keys=True)
-
-    nets = None
-    if "rl" in (algorithms if algorithms is not None else [cfg.controller]):
-        if not args.checkpoints:
-            raise CheckpointError(f"{command} of the rl controller needs --checkpoints")
-        nets = []
-        for pdc in range(1, cfg.district.num_pdcs + 1):
-            path = os.path.join(args.checkpoints, pattern or "", f"agent_pdc{pdc}.json")
-            if not os.path.exists(path):
-                raise CheckpointError(f"missing checkpoint {path}")
-            net, _, echo = load_checkpoint(path)
-            _check_echo(echo, cfg, pdc, path)
-            nets.append(net)
-    return cfg, out, seeds or cfg.seeds, nets
+    for name, cfg in resolved.items():
+        _write_json(os.path.join(out, name), cfg.resolved_dict(), sort_keys=True)
+    return out
 
 
 def _check_echo(echo, cfg: ExperimentConfig, pdc: int, path: str) -> None:
@@ -103,32 +106,32 @@ def _train_one_seed(job):
     return seed, train(cfg, cfg.train, seed)
 
 
-def _write_curve(path: str, curve: list) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["episode", "steps", "avg_reward", "violation_window", "epsilon"])
-        for row in curve:
-            writer.writerow(
-                [
-                    row["episode"],
-                    row["steps"],
-                    repr(row["avg_reward"]),
-                    repr(row["violation_window"]),
-                    repr(row["epsilon"]),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: str, doc: dict, **options) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, **options)
+
+
+CURVE_COLUMNS = ["episode", "steps", "avg_reward", "violation_window", "epsilon"]
 
 
 def cmd_train(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
-    cfg, out, seeds, _ = _setup(args, "train", algorithms=())
+    cfg = _config(args, args.config)
+    out = _output_dir(args, {"resolved_config.json": cfg})
     curves_dir = os.path.join(out, "curves")
     ckpt_dir = os.path.join(out, "checkpoints")
     os.makedirs(curves_dir, exist_ok=True)
     os.makedirs(ckpt_dir, exist_ok=True)
 
-    jobs = [(cfg, seed) for seed in seeds]
+    jobs = [(cfg, seed) for seed in cfg.seeds]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_train_one_seed, jobs))
@@ -137,7 +140,8 @@ def cmd_train(args) -> int:
 
     all_curves = []
     for seed, result in results:
-        _write_curve(os.path.join(curves_dir, f"seed{seed}.csv"), result.curve)
+        curve = [[repr(row[key]) for key in CURVE_COLUMNS] for row in result.curve]
+        _write_csv(os.path.join(curves_dir, f"seed{seed}.csv"), CURVE_COLUMNS, curve)
         seed_dir = os.path.join(ckpt_dir, f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         for pdc, net in enumerate(result.nets, start=1):
@@ -149,23 +153,23 @@ def cmd_train(args) -> int:
             )
         all_curves.append(result.curve)
 
-    episodes = min(len(c) for c in all_curves)
-    with open(os.path.join(curves_dir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["episode", "mean_reward", "stderr_reward", "mean_violation", "stderr_violation"]
-        )
-        k = len(all_curves)
-        for ep in range(episodes):
-            rewards = [c[ep]["avg_reward"] for c in all_curves]
-            viols = [c[ep]["violation_window"] for c in all_curves]
-            mr = sum(rewards) / k
-            mv = sum(viols) / k
-            sr = math.sqrt(sum((r - mr) ** 2 for r in rewards) / k) / math.sqrt(k) if k > 1 else 0.0
-            sv = math.sqrt(sum((v - mv) ** 2 for v in viols) / k) / math.sqrt(k) if k > 1 else 0.0
-            writer.writerow([ep, repr(mr), repr(sr), repr(mv), repr(sv)])
+    k = len(all_curves)
+    summary = []
+    for ep in range(min(len(c) for c in all_curves)):
+        row = [ep]
+        for key in ("avg_reward", "violation_window"):
+            values = [c[ep][key] for c in all_curves]
+            mean = sum(values) / k
+            spread = math.sqrt(sum((v - mean) ** 2 for v in values) / k)
+            row += [repr(mean), repr(spread / math.sqrt(k) if k > 1 else 0.0)]
+        summary.append(row)
+    _write_csv(
+        os.path.join(curves_dir, "summary.csv"),
+        ["episode", "mean_reward", "stderr_reward", "mean_violation", "stderr_violation"],
+        summary,
+    )
 
-    print(f"trained seeds {seeds}; checkpoints and curves under {out}")
+    print(f"trained seeds {cfg.seeds}; checkpoints and curves under {out}")
     return 0
 
 
@@ -184,16 +188,15 @@ def _run_report(cfg: ExperimentConfig, controller, seed: int, trace_path=None):
 
 
 def cmd_eval(args) -> int:
-    cfg, out, seeds, nets = _setup(args, "eval")
+    cfg = _config(args, args.config)
+    nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
+    out = _output_dir(args, {"resolved_config.json": cfg})
     trace_path = os.path.join(out, "trace.csv") if args.trace else None
-    report = _run_report(cfg, cfg.build_controller(nets), seeds[0], trace_path)
+    report = _run_report(cfg, cfg.build_controller(nets), cfg.seeds[0], trace_path)
 
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(csv_row(cfg.controller, cfg.arrival["type"], report))
+    _write_json(os.path.join(out, "report.json"), report.to_dict())
+    row = csv_row(cfg.controller, cfg.arrival["type"], report)
+    _write_csv(os.path.join(out, "report.csv"), CSV_COLUMNS, [row])
     print(
         f"{cfg.controller}/{cfg.arrival['type']}: p_max={report.p_max:.4f} "
         f"n_mean={report.n_mean:.1f} q_mean={report.q_mean:.1f} (report under {out})"
@@ -202,48 +205,43 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, out, seeds, nets = _setup(args, "sweep")
+    cfg = _config(args, args.config)
+    cells = [_config(args, args.config, total) for total in args.fleet_sizes]
+    nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
+    out = _output_dir(args, {"resolved_config.json": cfg})
     d = cfg.district.num_pdcs
     rows = []
-    for total in args.fleet_sizes:
-        run_cfg = cfg.with_fleet(total)
-        report = _run_report(run_cfg, run_cfg.build_controller(nets), seeds[0])
-        rows.append((total, report))
+    for total, run_cfg in zip(args.fleet_sizes, cells):
+        report = _run_report(run_cfg, run_cfg.build_controller(nets), cfg.seeds[0])
+        rows.append([total, *map(repr, [report.p_max, report.n_mean, *report.violation])])
         logger.info("N=%d p_max=%.4f n_mean=%.1f", total, report.p_max, report.n_mean)
 
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["total_uavs", "p_max", "n_mean"] + [f"violation_{pdc}" for pdc in range(1, d + 1)]
-        )
-        for total, report in rows:
-            writer.writerow(
-                [total, repr(report.p_max), repr(report.n_mean)]
-                + [repr(v) for v in report.violation]
-            )
+    _write_csv(
+        os.path.join(out, "sweep.csv"),
+        ["total_uavs", "p_max", "n_mean"] + [f"violation_{pdc}" for pdc in range(1, d + 1)],
+        rows,
+    )
     print(f"swept N over {list(args.fleet_sizes)}; table under {out}")
     return 0
 
 
 def cmd_compare(args) -> int:
+    cfgs = [(pattern, _config(args, pattern)) for pattern in args.patterns]
+    rl = "rl" in args.algorithms
+    nets = [_checkpoints(args, cfg, pattern) if rl else None for pattern, cfg in cfgs]
+    out = _output_dir(args, {f"resolved_{pattern}.json": cfg for pattern, cfg in cfgs})
+    reports_dir = os.path.join(out, "reports")
+    os.makedirs(reports_dir, exist_ok=True)
     rows = []
-    for pattern in args.patterns:
-        cfg, out, seeds, nets = _setup(args, "compare", pattern, args.algorithms)
-        reports_dir = os.path.join(out, "reports")
-        os.makedirs(reports_dir, exist_ok=True)
+    for (pattern, cfg), pattern_nets in zip(cfgs, nets):
         for algorithm in args.algorithms:
-            controller = replace(cfg, controller=algorithm).build_controller(nets)
-            report = _run_report(cfg, controller, seeds[0])
+            controller = replace(cfg, controller=algorithm).build_controller(pattern_nets)
+            report = _run_report(cfg, controller, cfg.seeds[0])
             rows.append((algorithm, pattern, report))
-            with open(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
+            _write_json(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), report.to_dict())
             logger.info("%s/%s p_max=%.4f", algorithm, pattern, report.p_max)
 
-    with open(os.path.join(out, "compare.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for algorithm, pattern, report in rows:
-            writer.writerow(csv_row(algorithm, pattern, report))
+    _write_csv(os.path.join(out, "compare.csv"), CSV_COLUMNS, (csv_row(*row) for row in rows))
     print(f"compared {len(rows)} cells; table under {out}")
     return 0
 

@@ -54,13 +54,6 @@ class ExperimentConfig:
             return largest_remainder(weights, self.district.total_uavs)
         return list(self.initial_allocation)
 
-    def with_fleet(self, total_uavs: int) -> "ExperimentConfig":
-        """The same experiment with a fleet of `total_uavs`, split statically."""
-        if total_uavs < 1:
-            raise ConfigError("total_uavs must be >= 1")
-        district = replace(self.district, total_uavs=total_uavs)
-        return replace(self, district=district, initial_allocation="static")
-
     def make_processes(self) -> list:
         """Fresh arrival process per PDC (the modulated one carries state)."""
         return [ArrivalProcess(**args) for args in self.arrival_args]
@@ -218,9 +211,13 @@ def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
     return arr, [dict(args, batch_mean=mean) for mean in means]
 
 
-def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
+def config_from_dict(doc: dict, source: str = "<dict>", **overrides) -> ExperimentConfig:
+    """The checked config of `doc`, with `overrides` in place of its top-level
+    values. They pass the same checks and the resolved config records them;
+    an overriding horizon_slots at or below the warmup runs without one."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    doc = {**doc, **overrides}
     district_ref = doc.get("district", "builtin")
     if not isinstance(district_ref, str):
         raise ConfigError("district must be 'builtin' or the path of a district file")
@@ -279,6 +276,8 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
 
     horizon = _number(doc.get("horizon_slots", 100_000), "horizon_slots", int, low=1)
     warmup = _number(doc.get("warmup_slots", 1_000), "warmup_slots", int, low=0)
+    if warmup >= horizon and "horizon_slots" in overrides:
+        warmup = doc["warmup_slots"] = 0
     if warmup >= horizon:
         raise ConfigError("need 0 <= warmup_slots < horizon_slots")
 
@@ -303,11 +302,12 @@ def config_from_dict(doc: dict, source: str = "<dict>") -> ExperimentConfig:
     )
 
 
-def load_experiment_config(ref: str) -> ExperimentConfig:
-    """Load a bundled scenario by name or a JSON config by path."""
+def load_experiment_config(ref: str, **overrides) -> ExperimentConfig:
+    """Load a bundled scenario by name or a JSON config by path, with
+    `overrides` as config_from_dict takes them."""
     if ref in BUILTIN_SCENARIOS:
         text = resources.files("dronefleet").joinpath(f"data/scenario_{ref}.json").read_text()
-        return config_from_dict(json.loads(text), source=ref)
+        return config_from_dict(json.loads(text), ref, **overrides)
     try:
         with open(ref) as fh:
             doc = json.load(fh)
@@ -315,4 +315,4 @@ def load_experiment_config(ref: str) -> ExperimentConfig:
         raise ConfigError(f"config not found: {ref}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, source=ref)
+    return config_from_dict(doc, ref, **overrides)

@@ -113,9 +113,18 @@ def sample_destinations(
     return lo.take(idx, axis=0) + span.take(idx, axis=0) * u[~is_pick].reshape(count, 2)
 
 
+def _point(value, name: str) -> Point:
+    point = tuple(float(x) for x in value)
+    if len(point) != 2 or not all(map(math.isfinite, point)):
+        raise ValueError(f"{name} must be two finite numbers: {value!r}")
+    return point
+
+
 def _subregion(doc: dict) -> SubRegion:
     sub = SubRegion(
-        min_corner=tuple(doc["min"]), max_corner=tuple(doc["max"]), weight=float(doc["weight"])
+        min_corner=_point(doc["min"], "sub-region corner"),
+        max_corner=_point(doc["max"], "sub-region corner"),
+        weight=float(doc["weight"]),
     )
     # written so that NaN fails; a negative weight or an inverted corner
     # would make sample_destinations draw outside the intended area
@@ -135,16 +144,19 @@ def district_from_dict(doc: dict) -> District:
                 raise ValueError("region without subregions")
             if not sum(s.weight for s in subs) > 0:
                 raise ValueError("region has no population weight")
-            regions.append(Region(pdc_location=tuple(reg["pdc"]), subregions=subs))
+            regions.append(Region(pdc_location=_point(reg["pdc"], "pdc"), subregions=subs))
         total_uavs = int(doc["total_uavs"])
         # int() would truncate 40.9 to 40
         if isinstance(doc["total_uavs"], float) and total_uavs != doc["total_uavs"]:
             raise ValueError(f"total_uavs must be a whole number: {doc['total_uavs']!r}")
+        speed = float(doc["speed_kph"])
+        if not 0.0 < speed < math.inf:
+            raise ValueError(f"speed_kph must be finite and > 0: {doc['speed_kph']!r}")
         return District(
             regions=tuple(regions),
-            port_location=tuple(doc["port"]),
+            port_location=_point(doc["port"], "port"),
             total_uavs=total_uavs,
-            speed_kph=float(doc["speed_kph"]),
+            speed_kph=speed,
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed district document: {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import QNetwork, forward
+from .network import QNetwork, forward, stack_networks
 
 logger = logging.getLogger(__name__)
 
@@ -84,31 +84,20 @@ def compute_reward(queue_trace, queue_bound, n_allocated, params: RewardParams):
     return over * params.alpha_over + under * params.alpha_under - held
 
 
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    total_steps: int
-    start: float = 0.5
-    end: float = 0.05
-    decay_fraction: float = 0.8
-
-
-def epsilon_at(step: int, sched: EpsilonSchedule) -> float:
-    """Linear decay over the first decay_fraction of planned steps, then flat."""
-    cutoff = sched.decay_fraction * sched.total_steps
-    if cutoff <= 0 or step >= cutoff:
-        return sched.end
-    return sched.start + (sched.end - sched.start) * (step / cutoff)
+def greedy_actions(net: QNetwork, encoded: np.ndarray) -> np.ndarray:
+    """Each agent's greedy action, from one forward pass of `net`, which
+    stacks one network per agent, over the (D, STATE_SIZE) `encoded`; ties
+    break toward the lowest action index."""
+    return np.argmax(forward(net, encoded[:, None, :])[:, 0], axis=-1)
 
 
 def select_action(net: QNetwork, encoded: np.ndarray, eps: float, rngs: list) -> np.ndarray:
-    """Epsilon-greedy action per agent; greedy ties break toward the lowest
-    action index.
+    """Epsilon-greedy action per agent.
 
     `net` stacks one network per agent, `encoded` is (D, STATE_SIZE) and
     `rngs` holds one generator per agent. Agent by agent, in order, each
     generator draws the exploration coin and, when it explores, the action.
-    If any agent is greedy, one stacked forward pass then prices every
-    agent's state and the greedy agents take their argmax.
+    If any agent is greedy, the greedy agents then take their greedy_actions.
     """
     actions = np.zeros(len(rngs), dtype=np.intp)
     greedy = np.zeros(len(rngs), dtype=bool)
@@ -118,8 +107,7 @@ def select_action(net: QNetwork, encoded: np.ndarray, eps: float, rngs: list) ->
         else:
             greedy[i] = True
     if greedy.any():
-        q = forward(net, encoded[:, None, :])[:, 0]
-        actions[greedy] = np.argmax(q[greedy], axis=-1)
+        actions[greedy] = greedy_actions(net, encoded)[greedy]
     return actions
 
 
@@ -247,15 +235,13 @@ def load_checkpoint(path: str) -> tuple[QNetwork, int, dict]:
 
 
 class GreedyPolicyController:
-    """Frozen learned policy: per PDC, argmax of its Q-network."""
+    """Frozen learned policy: per PDC, argmax of its Q-network, every PDC in
+    one stacked forward pass per decision."""
 
     def __init__(self, nets: list[QNetwork], delta: int):
-        self.nets = nets
+        self.net = stack_networks(nets)
         self.delta = delta
 
     def decide(self, epoch: int, observations) -> list[int]:
-        out = []
-        for net, (n, q) in zip(self.nets, observations):
-            action = int(np.argmax(forward(net, encode_state(n, q))))
-            out.append(action_delta(action, self.delta))
-        return out
+        actions = greedy_actions(self.net, encode_state(*zip(*observations)))
+        return [action_delta(a, self.delta) for a in actions.tolist()]

@@ -85,8 +85,7 @@ def run_policy(
     fh = open(trace_path, "w", newline="") if trace_path is not None else None
     try:
         for epoch in range(epochs):
-            obs = [observe(state, pdc) for pdc in range(1, d + 1)]
-            deltas = controller.decide(epoch, obs)
+            deltas = controller.decide(epoch, observe(state))
             window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
             run_epoch(state, deltas, sched_rng, counts[window])
             # home counts change only between epochs

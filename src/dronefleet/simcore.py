@@ -53,29 +53,12 @@ class SimState:
     dest_rngs: list[np.random.Generator]
     t: int = 0
     due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
-    # per PDC, looked up once rather than every slot: (process, its truck
-    # interval, arrival and destination generators, region)
-    lanes: list[tuple] = field(init=False, repr=False, compare=False)
-    # per PDC, the (queue, idle list) pair that dispatch pairs up
-    pools: list[tuple] = field(init=False, repr=False, compare=False)
-    # arrivals are drawn for the slots before `drawn`; each PDC's next slot
-    # to draw, and the length of the last block drawn
-    drawn: int = field(init=False, repr=False, compare=False)
-    next_draw: list[int] = field(init=False, repr=False, compare=False)
-    block: int = field(default=0, init=False, repr=False, compare=False)
+    # arrivals are drawn for the slots before `drawn`; the length of the last
+    # block drawn
+    drawn: int = 0
+    block: int = 0
     # slot -> batches drawn for it: (PDC index, trips, xs, ys) per batch
-    landing: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.lanes = [
-            (proc, proc.truck_interval, arng, drng, region)
-            for proc, arng, drng, region in zip(
-                self.processes, self.arrival_rngs, self.dest_rngs, self.district.regions
-            )
-        ]
-        self.pools = list(zip(self.queues, self.idle[1:]))
-        self.drawn = self.t
-        self.next_draw = [self.t] * len(self.lanes)
+    landing: dict[int, list] = field(default_factory=dict)
 
 
 def init_sim(
@@ -122,9 +105,9 @@ def init_sim(
     )
 
 
-def observe(state: SimState, pdc: int) -> tuple[int, int]:
-    """(allocated drones, queued packages) for PDC index 1..D."""
-    return int(state.home_counts[pdc]), len(state.queues[pdc - 1])
+def observe(state: SimState) -> list[tuple[int, int]]:
+    """(allocated drones, queued packages) per PDC, in PDC order."""
+    return list(zip(state.home_counts[1:].tolist(), map(len, state.queues)))
 
 
 def _book(state: SimState, uid: int, free: int) -> None:
@@ -142,19 +125,19 @@ def _draw_ahead(state: SimState, until: int) -> None:
     state.landing: trucks and batch sizes with the phase chain's steps, then
     one destination draw for the block's batches."""
     mps = state.district.meters_per_slot
-    landing = state.landing
-    for i, (proc, interval, arng, drng, region) in enumerate(state.lanes):
-        t = state.next_draw[i]
+    landing, drawn = state.landing, state.drawn
+    lanes = zip(state.processes, state.arrival_rngs, state.dest_rngs, state.district.regions)
+    for i, (proc, arng, drng, region) in enumerate(lanes):
+        interval = proc.truck_interval
+        t = drawn + -drawn % interval  # the first opportunity not drawn yet
         slots, sizes = [], []
         while t < until:
             size = proc.draw_batch(t, arng)
-            following = t - t % interval + interval  # the next opportunity
-            proc.advance_slot(t, arng, following - t)
+            proc.advance_slot(t, arng, interval)  # up to the next opportunity
             if size:
                 slots.append(t)
                 sizes.append(size)
-            t = following
-        state.next_draw[i] = t
+            t += interval
         if not sizes:
             continue
         dests = sample_destinations(region, drng, sum(sizes), sizes)
@@ -182,7 +165,8 @@ def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
 
     free, due, home, idle_lists = state.free, state.due, state.home, state.idle
     start, drop, back, dest = state.start, state.drop, state.back, state.dest
-    landing, pools = state.landing, state.pools
+    landing, queues = state.landing, state.queues
+    pools = list(zip(queues, idle_lists[1:]))
     d = len(pools)
     arrived = [0] * (slots * d)
     dispatched = [0] * (slots * d)
@@ -201,7 +185,7 @@ def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
         if batches:
             for i, trips, xs, ys in batches:
                 arrived[row + i] = len(trips)
-                pools[i][0].extend(zip(trips, zip(xs, ys)))
+                queues[i].extend(zip(trips, zip(xs, ys)))
 
         i = row
         for queue, idle in pools:

@@ -32,18 +32,16 @@ from .network import (
 from .rlagent import (
     NUM_ACTIONS,
     STATE_SIZE,
-    EpsilonSchedule,
     ReplayBuffer,
     RewardParams,
     action_delta,
     compute_reward,
     ddqn_targets_batch,
     encode_state,
-    epsilon_at,
     select_action,
 )
 from .runner import queue_trace, run_epoch
-from .simcore import SimState, init_sim
+from .simcore import init_sim, observe
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +70,13 @@ class TrainResult:
     train_steps: int
 
 
-def _encode_observations(state: SimState) -> np.ndarray:
-    """(D, STATE_SIZE) encodings of every PDC's (held drones, queue length)."""
-    return encode_state(state.home_counts[1:], [len(queue) for queue in state.queues])
+def epsilon_at(step: int, cfg: TrainConfig) -> float:
+    """Linear decay over the first eps_decay_fraction of the planned steps,
+    then flat."""
+    cutoff = cfg.eps_decay_fraction * (cfg.episodes * cfg.max_steps_per_episode)
+    if cutoff <= 0 or step >= cutoff:
+        return cfg.eps_end
+    return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * (step / cutoff)
 
 
 def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
@@ -106,12 +108,6 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     sched_rng = np.random.default_rng(master.spawn(1)[0])
     counts = np.empty((epoch_slots, 2, d), dtype=np.int64)  # one epoch's, reused
 
-    sched = EpsilonSchedule(
-        total_steps=cfg.episodes * cfg.max_steps_per_episode,
-        start=cfg.eps_start,
-        end=cfg.eps_end,
-        decay_fraction=cfg.eps_decay_fraction,
-    )
     learn_after = max(cfg.min_buffer, cfg.batch_size)
     window = deque(maxlen=10)  # (over_slots, total_slots) per recent episode
     curve = []
@@ -127,20 +123,22 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
         reward_total = 0.0
         over_ge = 0
         steps = 0
-        eps = epsilon_at(global_step, sched)
-        encoded = _encode_observations(state)
+        eps = epsilon_at(global_step, cfg)
+        n, q = zip(*observe(state))
+        encoded = encode_state(n, q)
 
         for _ in range(cfg.max_steps_per_episode):
-            eps = epsilon_at(global_step, sched)
+            eps = epsilon_at(global_step, cfg)
             actions = select_action(net, encoded, eps, action_rngs)
             deltas = [action_delta(a, scenario.delta) for a in actions.tolist()]
-            q_start = [len(queue) for queue in state.queues]
             run_epoch(state, deltas, sched_rng, counts)
-            q_window = queue_trace(counts[:, 0].T, counts[:, 1].T, q_start)
+            # the queues start the epoch where the last observation saw them
+            q_window = queue_trace(counts[:, 0].T, counts[:, 1].T, q)
 
             saturated = bool((q_window > cfg.saturation_cutoff).any())
-            next_encoded = _encode_observations(state)
-            rewards = compute_reward(q_window, bounds, state.home_counts[1:], reward_params)
+            n, q = zip(*observe(state))
+            next_encoded = encode_state(n, q)
+            rewards = compute_reward(q_window, bounds, n, reward_params)
             for r in rewards.tolist():  # agent by agent, as a running float sum
                 reward_total += r
             buffer.push(encoded, actions, rewards, next_encoded, saturated)

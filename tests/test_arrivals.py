@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dronefleet.arrivals import ArrivalProcess, arrival_opportunity
+from dronefleet.arrivals import ArrivalProcess
 
 from oracles import markov_arrivals
 
@@ -25,10 +25,12 @@ def mmb(p_high_to_low, p_low_to_high, per_slot_phase=True):
 
 
 def test_opportunity_slots():
-    hits = [t for t in range(100) if arrival_opportunity(t, 30)]
+    # a sure truck comes on every opportunity slot and on no other
+    proc, rng = bernoulli(1.0), np.random.default_rng(0)
+    hits = [t for t in range(100) if proc.draw_batch(t, rng)]
     assert hits == [0, 30, 60, 90]
     with pytest.raises(ValueError):
-        arrival_opportunity(5, 0)
+        ArrivalProcess(truck_interval=0, batch_mean=1, batch_half_width=0, p_high=1.0)
 
 
 def test_batch_support_is_closed_interval():

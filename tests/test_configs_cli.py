@@ -94,11 +94,11 @@ def test_total_uavs_sets_the_district_fleet():
     assert sum(cfg.initial_allocation_counts()) == 40
     assert cfg.resolved_dict()["total_uavs"] == 40
     assert cfg.checkpoint_echo(seed=1, pdc=1)["total_uavs"] == 40
-    bigger = cfg.with_fleet(70)
+    bigger = config_from_dict(base_doc(total_uavs=40), total_uavs=70, initial_allocation="static")
     assert bigger.district.total_uavs == 70
     assert sum(bigger.initial_allocation_counts()) == 70
     with pytest.raises(ConfigError):
-        cfg.with_fleet(0)
+        config_from_dict(base_doc(total_uavs=40), total_uavs=0, initial_allocation="static")
 
 
 def test_explicit_initial_allocation_passes_through():
@@ -364,8 +364,49 @@ def _weightless_region(doc):
         sub["weight"] = 0
 
 
+def _still_drones(doc):
+    doc["speed_kph"] = 0
+
+
+def _backward_drones(doc):
+    doc["speed_kph"] = -5
+
+
+def _speed_nan(doc):
+    doc["speed_kph"] = float("nan")
+
+
+def _one_coordinate_pdc(doc):
+    doc["regions"][0]["pdc"] = [1.0]
+
+
+def _pdc_nan(doc):
+    doc["regions"][1]["pdc"][0] = float("nan")
+
+
+def _port_string(doc):
+    doc["port"] = "ab"
+
+
+def _infinite_corner(doc):
+    doc["regions"][2]["subregions"][0]["max"][1] = float("inf")
+
+
 @pytest.mark.parametrize(
-    "fault", [_fractional_fleet, _negative_weight, _inverted_corner, _weightless_region]
+    "fault",
+    [
+        _fractional_fleet,
+        _negative_weight,
+        _inverted_corner,
+        _weightless_region,
+        _still_drones,
+        _backward_drones,
+        _speed_nan,
+        _one_coordinate_pdc,
+        _pdc_nan,
+        _port_string,
+        _infinite_corner,
+    ],
 )
 def test_bad_district_file_exits_2(tmp_path, capsys, fault):
     doc = bundled_district_doc()
@@ -381,24 +422,27 @@ def test_bad_district_file_exits_2(tmp_path, capsys, fault):
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.json")]) == 2
-    # the bundled rl scenario cannot be evaluated without checkpoints
+    # the bundled rl scenario cannot be evaluated without checkpoints, and a
+    # command that fails on its checkpoints writes nothing
     assert main(["eval", "--config", "bernoulli", "--out", str(tmp_path / "o1")]) == 3
+    assert not (tmp_path / "o1").exists()
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert (
-        main(
-            [
-                "eval",
-                "--config",
-                "bernoulli",
-                "--checkpoints",
-                str(empty),
-                "--out",
-                str(tmp_path / "o2"),
-            ]
-        )
-        == 3
-    )
+    for ckpts in (empty, tmp_path / "nonexistent"):
+        out = tmp_path / "o2"
+        argv = ["eval", "--config", "bernoulli", "--checkpoints", str(ckpts), "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+    # checkpoints for only the first pattern: compare runs no cell of it
+    net = init_network([STATE_SIZE, 8, 3], np.random.default_rng(0))
+    (tmp_path / "ck" / "bernoulli").mkdir(parents=True)
+    for pdc in range(1, 5):
+        save_checkpoint(str(tmp_path / "ck" / "bernoulli" / f"agent_pdc{pdc}.json"), net, 1, {})
+    out = tmp_path / "o3"
+    argv = ["compare", "--patterns", "bernoulli", "tvb", "--algorithms", "static", "rl"]
+    assert main(argv + ["--checkpoints", str(tmp_path / "ck"), "--out", str(out)]) == 3
+    assert "missing checkpoint" in capsys.readouterr().err
+    assert not out.exists()
     # overrides out of range are config problems, caught before anything runs
     config = write_config(tmp_path, base_doc(controller="threshold"))
     bad_overrides = [
@@ -406,6 +450,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["eval", "--config", config, "--horizon", "0"],
         ["eval", "--config", config, "--seed", "-1"],
         ["sweep", "--config", config, "--n-uavs", "40", "--seed", "-1"],
+        # the N = 40 cell would run before the bad size was seen
+        ["sweep", "--config", config, "--n-uavs", "40", "0", "--horizon", "120"],
+        ["eval", "--config", config, "--n-uavs", "0"],
         ["compare", "--patterns", "bernoulli", "--algorithms", "static", "--horizon", "0"],
         ["train", "--config", config, "--seeds", "1", "-2"],
         ["train", "--config", config, "--seeds", "1", "1"],
@@ -559,6 +606,20 @@ def test_cli_rejects_checkpoint_of_wrong_width(tmp_path, capsys):
     argv = ["eval", "--config", "bernoulli", "--checkpoints", str(ckpts), "--out", str(tmp_path / "o")]
     assert main(argv + ["--horizon", "120"]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_rejects_checkpoints_of_mixed_shapes(tmp_path, capsys):
+    # the per-PDC networks are run as one stack, so they must share a shape
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for pdc in range(1, 5):
+        net = init_network([STATE_SIZE, 8 * pdc, 3], np.random.default_rng(pdc))
+        save_checkpoint(str(ckpts / f"agent_pdc{pdc}.json"), net, 1, {})
+    out = tmp_path / "o"
+    argv = ["eval", "--config", "bernoulli", "--checkpoints", str(ckpts), "--out", str(out)]
+    assert main(argv + ["--horizon", "120"]) == 3
+    assert "differ in layer sizes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_per_slot_phase_must_be_a_json_boolean(tmp_path, capsys):

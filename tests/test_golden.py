@@ -32,60 +32,64 @@ BASELINES = ("static", "threshold", "ql")
 EVAL_FLAGS = ["--trace", "--horizon", "6000", "--seed", "7"]
 TRAIN_SETTINGS = {"episodes": 2, "max_steps_per_episode": 30, "min_buffer": 25}
 TRAIN_SEED = 7
+# three seeds, so that curves/summary.csv has a spread to report, and 3 x 20
+# steps, where the order of the epsilon cutoff's product shows in its bits
+MULTI_SEED_TRAIN = {"episodes": 3, "max_steps_per_episode": 20, "min_buffer": 25}
+MULTI_SEEDS = [3, 5, 8]
 
 GOLDEN = {
     "eval/bernoulli/static": {
         "report.csv": "5928e7008e5650b91d15024ea396d5b2ce0bdf55eedef23021ef4d3841280ef5",
         "report.json": "1551918175d191cc8b6b336eac157303102382c639f1174dd4a22068d4686c59",
-        "resolved_config.json": "73ba4c57173d8e5a1f9662cfd6d9568ba953363d9d6cab9eb843be62210b2d5d",
+        "resolved_config.json": "e1aa3b91f55ca3a3a6517ade1b2ba338f2bcef9c681e647fec778f879fb602ff",
         "trace.csv": "1ba46758e62cae78505644d84ca8dcf24e6e3de91518a74704417032ac8bad91"
     },
     "eval/bernoulli/threshold": {
         "report.csv": "076ebd5e6e6fa3515b1cff20c4adc63815c2d63c372f3bd3ae34d362a9602925",
         "report.json": "e58c8b6267a808cf1c8c4ca843cba269da619f27535108568316e0c974c6b62c",
-        "resolved_config.json": "094a89e1350bda011182b6357330a963cda10b01e68c760c9dad7c273b2f248f",
+        "resolved_config.json": "098c7825431829ccb66523ae8ec44260672e7fdb2234d90ccf88aaa1725abfcb",
         "trace.csv": "8414c540f528e78aea1d4eda825453bfc14e20ed31d1090f7b9163d867d3e839"
     },
     "eval/bernoulli/ql": {
         "report.csv": "166ebc1f75e4cbc8eeb4aa92a3d56eedb70669609a58563c64415b9c68b29f36",
         "report.json": "ef612c8c35a61784e2b3e5fa3b968d7c73edd5e4c0be6e2fcdf73680436a1d30",
-        "resolved_config.json": "00003a66f8b15ede3d6bde92c286099b1d8b0de01aedaf8fffb1d79ef244dbbf",
+        "resolved_config.json": "ec0d88b00279ff8fee74492d610e8a6a7dd77cb8bc1a80d02d78f94b80ea3541",
         "trace.csv": "72fc112beca2321837edcb3f7f0f0f79029d7e4e26ff4738de8cfc6a2d9c3310"
     },
     "eval/tvb/static": {
         "report.csv": "602543d77be0b100344dbf7fed5e78e095ce41c38134600c33712fab58ee9b73",
         "report.json": "e320a21722652114893405259d6eba45c4e36c79bfd8526498096d2c3839d747",
-        "resolved_config.json": "1a29e54f5628048158b66a59dd1ff547cc8f95549d7494ef07dda544718af5ac",
+        "resolved_config.json": "8fa9f903f4be9af48ea738933eef7de78b47b65aaf088a0cdf88b4ef9a00b20b",
         "trace.csv": "7fc918e05e24803203dff5b4ace661e6956bb213cbff0b894d1b2348e323b6f7"
     },
     "eval/tvb/threshold": {
         "report.csv": "02607b5fea8c0f14b91125151c472ed51d6ca15d9b84259c6474b0ee0ec84153",
         "report.json": "709bd9ad58cdbaed0b8a4271de242c84b6d9af4d1a554bdb2958e4de302769d3",
-        "resolved_config.json": "947d9447ad02761c7bd70529d71d4495d56f622a46795dfe6f899e590818d908",
+        "resolved_config.json": "2acbf2ed639d9f76091b9622cb3cda1d68ec3cfe4f474f4a958afa03835c4c29",
         "trace.csv": "bbfcf72e0bbc0811080f43e5c5045e5f834e81b66b52efaaf2055326ba538199"
     },
     "eval/tvb/ql": {
         "report.csv": "fe3ac5d30aab262baa60343b12db0d79290f07d0e1ac7a3667c63835d03e1567",
         "report.json": "bbb6952f825746a456f6bcbc3d47b21ce87c8c6afb5c8ae4bf3784614aeff709",
-        "resolved_config.json": "20772f9df045e284b33c2e0cb8419fd47ed08c3b74d65179c3772d4bc13df3e3",
+        "resolved_config.json": "14e41a638ed3843561e386b6b9ed533afab04718193bf964e015a3f1e25b3712",
         "trace.csv": "47b0671face750251d6de112e7c00e837f935bb1be536fa42bed1c4febc4d65d"
     },
     "eval/mmb/static": {
         "report.csv": "9cc7c1dcc92de05c3d66e7f64371edf03d11598267af5be7ea982cea2097ac38",
         "report.json": "143fc4aa539431f21d087887c672348c3507095b2c40d788c0e39b94d85f2ba9",
-        "resolved_config.json": "6f74bb41a51640575642f25a5d1d99106dfc6e0a55a914c33cb15314ba25589e",
+        "resolved_config.json": "ab3e3352cf541ee6e69afbc3cdf75454b32e12625fbe6c0f4d18af2e0580f295",
         "trace.csv": "fa9393d52cae711aebe3cd28b0e506b299c1b63208fc810bbb14652185614d9f"
     },
     "eval/mmb/threshold": {
         "report.csv": "e47c86870acec15aacda91baa4fcd6868edb5c3e5d3f1dbaf4b0e2f069c8b970",
         "report.json": "1fa16873260f812f319796bef2ae1571c055231983cdee7b134506696546302b",
-        "resolved_config.json": "f11e55df256866dc1fd98823f9723cf58f4df5356e53d6d8a342c2ac981c075d",
+        "resolved_config.json": "4f0e4def46bc5565a9be680f54fb2a57110131dd5ad06a145e648fe96103fc64",
         "trace.csv": "39d36704d5766890ede1505c5f530b8400b4e6c985ab7af55a30a2dfbd36972b"
     },
     "eval/mmb/ql": {
         "report.csv": "aa0d4fc8633b47c240e216edeea07f2f7e5064a28bf4fb413976c7e88ae60a18",
         "report.json": "da7a115ff70bb734c808158f8b91e7d8534160052fbf34dad7d5cef5f5a3b0ba",
-        "resolved_config.json": "ece354d582a3c5514f4c52c90a4fdc3b063f977faa736eb988780b6f59600839",
+        "resolved_config.json": "3cf4a6c41afc06038754948c62f7844f6646f41608f2933d96184f490e82385e",
         "trace.csv": "7e11e6a09fd43abc70d430c97443afe64639ef6e857cb53ed28ac8f92c1f0b44"
     },
     "train/bernoulli": {
@@ -100,8 +104,27 @@ GOLDEN = {
     "eval/bernoulli/rl": {
         "report.csv": "7d224a538dad5468ccd8f3783c1cc0ace68c46360c611b303484219f621965f6",
         "report.json": "68924f7d9034011156840e658df7d03d310b0aca59d846a4b8631c57a4b7e14c",
-        "resolved_config.json": "c690f8ea9d577f87b0fcf9a79aab03a67cb4f2a6d824b85fc744e3f5321941a4",
+        "resolved_config.json": "4600966d98a4dff9b3b14cec0d7ab6bcae7e155b1c936efe8cbd40c337aef4c3",
         "trace.csv": "5759d34ccabb6a24e8e6b5757e92b109c165b73f07b5664033f3f94bb7c16115"
+    },
+    "train/bernoulli-3-seeds": {
+        "checkpoints/seed3/agent_pdc1.json": "beb51b748c1b6f189f9ccdc4f21d0e0e2b4615d560ae38e83880c482386bc480",
+        "checkpoints/seed3/agent_pdc2.json": "61332d6e52340a93905d50d39d2bbd495f7d6a6d5213df7345a0a6d2fddf1ae7",
+        "checkpoints/seed3/agent_pdc3.json": "a12c69b5c3ec23b0b211d7ee62ff6480cf99ec627ac0e709c89e860577e54829",
+        "checkpoints/seed3/agent_pdc4.json": "098d8668a61e26ca040153bfc9455bd29faacb3548cdc144393e117d834f0758",
+        "checkpoints/seed5/agent_pdc1.json": "90f2e7cd9df9423d8d43cc47116a10091be57a205c4354b6f0c1f69d4d092fb1",
+        "checkpoints/seed5/agent_pdc2.json": "cc7e264a6e5b8d70220061056656187bfdc78faf89bcbe2a6c40fdcd1a322400",
+        "checkpoints/seed5/agent_pdc3.json": "88ff71a06fab6e9c95f4449533bc4c84b7df8cb1d1ab54c37ee86446d2237d41",
+        "checkpoints/seed5/agent_pdc4.json": "d0081d354b909b4bb5ff77690832a80a321fc9361fca527aaae8e03dec274d00",
+        "checkpoints/seed8/agent_pdc1.json": "f38cadf701e626d3e4c47eb9964891936bb185f5df807bcb7cca8e095fb80de7",
+        "checkpoints/seed8/agent_pdc2.json": "ddbb97cd12a54669cd18f76e870e8e0b45170f4fc7612adb1e49136c40fbdee5",
+        "checkpoints/seed8/agent_pdc3.json": "9fa2a38b8a933ef4277e1574c2761dfda4022ee0dc5bd998aa84b22a6c8deaf8",
+        "checkpoints/seed8/agent_pdc4.json": "319c2edc3744181b63634c273470936c3c2616054e06ddd9e7cf7aef550ed97c",
+        "curves/seed3.csv": "b261607f4bf072f8ad5e5b005516527cb03647979e7636936d72f517cddb9d80",
+        "curves/seed5.csv": "98b63ab4b07b8d44ca6794ac1093f81dbd9e47150554e896e237536761b8ddf7",
+        "curves/seed8.csv": "eb2f502cfd54463cf274c072ba5dbed55dcd790b81571f985d89fb4792b34e4f",
+        "curves/summary.csv": "50cc0c61f7962d370c952708c79e34fa5fd721a6182f6aaf61ddb00f24d6c0d3",
+        "resolved_config.json": "7c244b9c9e4f68ab1061bd38d81346f082e0aa1ef49401369d3f2cfa65d1f421"
     }
 }
 
@@ -145,6 +168,8 @@ def collect_digests(tmp):
     ckpts = os.path.join(out, "checkpoints", f"seed{TRAIN_SEED}")
     out = _run(tmp, "eval/bernoulli/rl", doc, ["eval", *EVAL_FLAGS, "--checkpoints", ckpts])
     runs["eval/bernoulli/rl"] = _digests(out)
+    doc = _scenario("bernoulli", train=MULTI_SEED_TRAIN, seeds=MULTI_SEEDS)
+    runs["train/bernoulli-3-seeds"] = _digests(_run(tmp, "train/bernoulli-3-seeds", doc, ["train"]))
     return runs
 
 

@@ -10,7 +10,6 @@ from dronefleet.rlagent import (
     NUM_ACTIONS,
     QUEUE_BITS,
     CheckpointError,
-    EpsilonSchedule,
     GreedyPolicyController,
     ReplayBuffer,
     RewardParams,
@@ -18,11 +17,11 @@ from dronefleet.rlagent import (
     compute_reward,
     ddqn_targets_batch,
     encode_state,
-    epsilon_at,
     load_checkpoint,
     save_checkpoint,
     select_action,
 )
+from dronefleet.training import TrainConfig, epsilon_at
 
 from oracles import ddqn_target, decode_state
 
@@ -143,7 +142,7 @@ def test_reward_lagrangian_identity():
 
 
 def test_epsilon_schedule_shape():
-    sched = EpsilonSchedule(total_steps=1000)
+    sched = TrainConfig(episodes=1, max_steps_per_episode=1000)
     assert epsilon_at(0, sched) == 0.5
     assert epsilon_at(400, sched) == pytest.approx(0.275)  # halfway into the decay
     assert epsilon_at(800, sched) == pytest.approx(0.05)
@@ -343,3 +342,23 @@ def test_greedy_policy_controller():
     grab = const_net([0.0, 1.0, 5.0])
     ctrl = GreedyPolicyController([shed, hold, grab], delta=5)
     assert ctrl.decide(0, [(10, 3), (10, 3), (10, 3)]) == [-5, 0, 5]
+
+
+def test_greedy_policy_controller_matches_each_net_alone():
+    # one stacked forward pass for every PDC picks what each net's own
+    # argmax picks; a net whose Q-values all tie picks the lowest action
+    rng = np.random.default_rng(21)
+    nets = [init_network([25, 8, 3], rng) for _ in range(4)]
+    for net in nets:
+        net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    nets[3].weights[-1][:] = 0.0
+    nets[3].biases[-1][:] = 1.5
+    ctrl = GreedyPolicyController(nets, delta=5)
+    for _ in range(40):
+        obs = list(zip(rng.integers(0, 60, 4).tolist(), rng.integers(0, 300, 4).tolist()))
+        want = [
+            action_delta(int(np.argmax(forward(net, encode_state(n, q)))), 5)
+            for net, (n, q) in zip(nets, obs)
+        ]
+        assert ctrl.decide(0, obs) == want
+        assert want[3] == -5

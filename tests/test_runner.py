@@ -270,7 +270,9 @@ def test_run_epoch_matches_a_slot_by_slot_twin():
 @pytest.mark.parametrize("controller", ["static", "threshold", "ql"])
 @pytest.mark.parametrize("fleet", [40, 60, 70])
 def test_fleet_size_holds_through_every_epoch(controller, fleet):
-    cfg = replace(load_experiment_config("mmb"), controller=controller).with_fleet(fleet)
+    cfg = load_experiment_config(
+        "mmb", controller=controller, total_uavs=fleet, initial_allocation="static"
+    )
     ctrl = cfg.build_controller()
     state = init_sim(
         cfg.district, cfg.make_processes(), cfg.initial_allocation_counts(), np.random.SeedSequence(5)
@@ -279,9 +281,8 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
     d = cfg.district.num_pdcs
     assert len(state.home) == fleet
     for epoch in range(20):
-        obs = [observe(state, pdc) for pdc in range(1, d + 1)]
         counts = np.empty((cfg.reward.epoch_slots, 2, d), dtype=np.int64)
-        run_epoch(state, ctrl.decide(epoch, obs), rng, counts)
+        run_epoch(state, ctrl.decide(epoch, observe(state)), rng, counts)
         assert len(state.home) == fleet
         assert int(state.home_counts.sum()) == fleet
 
@@ -309,8 +310,8 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
     waiting = [deque() for _ in range(d)]
     waits = [[] for _ in range(d)]
     for epoch in range(1800 // epoch_slots):
-        obs = [observe(state, pdc) for pdc in range(1, d + 1)]
-        apply_allocation_moves(state, schedule(state, ctrl.decide(epoch, obs), sched_rng))
+        requests = ctrl.decide(epoch, observe(state))
+        apply_allocation_moves(state, schedule(state, requests, sched_rng))
         for _ in range(epoch_slots):
             t = state.t
             arrived, dispatched = step_slot(state)

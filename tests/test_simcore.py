@@ -62,8 +62,7 @@ def test_initial_layout_and_observe():
     # ids are dealt in blocks: PDC1 gets 0..1, PDC2 gets 2, the port the rest
     assert state.idle == [[3, 4], [0, 1], [2]]
     assert list(state.home_counts) == [2, 2, 1]
-    assert observe(state, 1) == (2, 0)
-    assert observe(state, 2) == (1, 0)
+    assert observe(state) == [(2, 0), (1, 0)]
 
 
 def test_delivery_lifecycle_timing():
@@ -75,7 +74,7 @@ def test_delivery_lifecycle_timing():
     assert (state.start[0], state.drop[0], state.back[0], state.free[0]) == (0, 3, 6, 7)
     assert state.dest[0] == (900.0, 0.0)
     assert state.due == {7: [0]}  # one due event per mission
-    assert observe(state, 1) == (1, 0)
+    assert observe(state) == [(1, 0)]
 
     phases = []
     for _ in range(7):  # t=1..7
@@ -275,11 +274,21 @@ def test_fleet_conservation_under_random_moves():
 
 def test_multi_slot_step_matches_single_slot_steps():
     # Markov-modulated centers and moves between the calls; the spans cross
-    # the look-ahead's block ends, so blocks of both states end apart
+    # the look-ahead's block ends, so blocks of both states end apart. A
+    # truck interval of 7 divides neither the epoch nor any block
     cfg = load_experiment_config("mmb")
+    for interval in (30, 7):
+        packages = _multi_slot_twins(cfg, interval)
+        assert packages > 0, interval
+
+
+def _multi_slot_twins(cfg, interval):
+    """Step two equal states through the same moves, one of them a slot per
+    call; returns the packages dispatched."""
 
     def fresh():
-        return init_sim(cfg.district, cfg.make_processes(), [4, 4, 4, 4], np.random.SeedSequence(8))
+        processes = [ArrivalProcess(**{**a, "truck_interval": interval}) for a in cfg.arrival_args]
+        return init_sim(cfg.district, processes, [4, 4, 4, 4], np.random.SeedSequence(8))
 
     state, twin = fresh(), fresh()
     rng = np.random.default_rng(0)
@@ -303,4 +312,4 @@ def test_multi_slot_step_matches_single_slot_steps():
         assert [list(q) for q in state.queues] == [list(q) for q in twin.queues]
         assert state.home_counts.tolist() == twin.home_counts.tolist()
         packages += sum(dispatched)
-    assert packages > 0
+    return packages

@@ -1,7 +1,7 @@
 import numpy as np
 
 from dronefleet.configs import config_from_dict
-from dronefleet.training import TrainConfig, train
+from dronefleet.training import TrainConfig, epsilon_at, train
 
 
 def desk_doc():
@@ -24,6 +24,13 @@ def tiny_cfg(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def test_epsilon_cutoff_takes_the_planned_steps_first():
+    # 0.7 * (3 * 10) is 21.0, while (0.7 * 3) * 10 falls one bit short
+    cfg = TrainConfig(episodes=3, max_steps_per_episode=10, eps_decay_fraction=0.7)
+    assert epsilon_at(20, cfg) == 0.5 + (0.05 - 0.5) * (20 / 21.0) == 0.07142857142857145
+    assert epsilon_at(21, cfg) == 0.05
 
 
 def test_train_shapes_and_curve():
