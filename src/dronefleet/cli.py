@@ -27,7 +27,7 @@ from .configs import (
 )
 from .metrics import CSV_COLUMNS, csv_row, summarize
 from .rlagent import CheckpointError, load_checkpoint, save_checkpoint
-from .runner import run_policy
+from .runner import run_policy, write_trace
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -35,8 +35,9 @@ logger = logging.getLogger(__name__)
 
 def _config(args, ref: str, total_uavs: int | None = None) -> ExperimentConfig:
     """The config `ref` with the command line's values in place of its own:
-    --horizon, --seed(s), and a fleet of `total_uavs` or --n-uavs drones,
-    split statically. configs checks them by its own rules."""
+    --horizon, --seed(s) (else the first seed, for a command that runs one),
+    and a fleet of `total_uavs` or --n-uavs drones, split statically.
+    configs checks them by its own rules."""
     overrides = {}
     if getattr(args, "horizon", None) is not None:
         overrides["horizon_slots"] = args.horizon
@@ -48,7 +49,10 @@ def _config(args, ref: str, total_uavs: int | None = None) -> ExperimentConfig:
         total_uavs = getattr(args, "n_uavs", None)
     if total_uavs is not None:
         overrides.update(total_uavs=total_uavs, initial_allocation="static")
-    return load_experiment_config(ref, **overrides)
+    cfg = load_experiment_config(ref, **overrides)
+    if hasattr(args, "seed") and seed is None:  # eval, sweep or compare
+        return load_experiment_config(ref, **overrides, seeds=cfg.seeds[:1])
+    return cfg
 
 
 def _checkpoints(args, cfg: ExperimentConfig, pattern: str = "") -> list:
@@ -182,9 +186,11 @@ def _run_report(cfg: ExperimentConfig, controller, seed: int, trace_path=None):
         cfg.reward.epoch_slots,
         cfg.horizon_slots,
         seed,
-        trace_path=trace_path,
     )
-    return summarize(traces, cfg.queue_bounds, cfg.warmup_slots)
+    report = summarize(traces, cfg.queue_bounds, cfg.warmup_slots)
+    if trace_path is not None:
+        write_trace(trace_path, traces)
+    return report
 
 
 def cmd_eval(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .runner import RunTraces
+from .runner import RunTraces, queue_trace
 
 
 @dataclass(frozen=True)
@@ -31,29 +31,41 @@ class MetricsReport:
         return asdict(self)
 
 
-def violation_probability(queue_trace: np.ndarray, queue_bound: float) -> float:
-    trace = np.asarray(queue_trace)
-    if trace.size == 0:
-        raise ValueError("empty trace")
-    return float((trace >= queue_bound).mean())
+def slots_over(q: np.ndarray, queue_bounds) -> np.ndarray:
+    """Per PDC, how many slots of the (D, slots) queue trace `q` are at or
+    above that PDC's bound: the violation rule, which counts q == bound."""
+    return (q >= np.asarray(queue_bounds)[:, None]).sum(axis=1)
+
+
+def fifo_waits(arrivals: np.ndarray, dispatches: np.ndarray, warmup_slots: int = 0) -> np.ndarray:
+    """The wait of each package one FIFO queue dispatched, in dispatch order,
+    from its per-slot arrival and dispatch counts: the k-th dispatch takes
+    the k-th arrival. Packages that arrived before warmup_slots are left out."""
+    slots = np.arange(len(arrivals))
+    left = np.repeat(slots, dispatches)
+    born = np.repeat(slots, arrivals)[: len(left)]
+    return (left - born)[born >= warmup_slots]
 
 
 def summarize(traces: RunTraces, queue_bounds: list[float], warmup_slots: int = 0) -> MetricsReport:
     """Report over the post-warmup window; packages count by arrival slot."""
-    if warmup_slots < 0 or warmup_slots >= traces.horizon_slots:
+    arrivals, dispatches = traces.arrivals, traces.dispatches
+    d, horizon = arrivals.shape
+    if warmup_slots < 0 or warmup_slots >= horizon:
         raise ValueError("warmup must leave a nonempty window")
-    q = traces.q[:, warmup_slots:]
-    n = traces.n[:, warmup_slots:]
-    if q.shape[0] != len(queue_bounds):
+    if d != len(queue_bounds):
         raise ValueError("one queue bound per PDC")
 
-    violation = [violation_probability(q[i], queue_bounds[i]) for i in range(q.shape[0])]
-    pairs = [np.asarray(per_pdc, dtype=np.int64).reshape(-1, 2) for per_pdc in traces.waits]
-    w_arr = np.concatenate([p[p[:, 0] >= warmup_slots, 1] for p in pairs]).astype(np.float64)
-    if w_arr.size:
-        w_mean, w_std = float(w_arr.mean()), float(w_arr.std())
-    else:
-        w_mean = w_std = math.nan
+    # pair the waits first, while little else is held: the largest temporary
+    waits = [fifo_waits(a, dsp, warmup_slots) for a, dsp in zip(arrivals, dispatches)]
+    waits = np.concatenate(waits, dtype=np.float64)
+    w_mean, w_std = (float(waits.mean()), float(waits.std())) if waits.size else (math.nan, math.nan)
+    del waits
+
+    q = queue_trace(arrivals, dispatches, [0] * d)[:, warmup_slots:]
+    violation = (slots_over(q, queue_bounds) / q.shape[1]).tolist()
+    # each epoch's fleet holds over all of its slots
+    fleet = np.repeat(traces.n.sum(axis=0), horizon // traces.n.shape[1])[warmup_slots:]
 
     return MetricsReport(
         violation=violation,
@@ -62,7 +74,7 @@ def summarize(traces: RunTraces, queue_bounds: list[float], warmup_slots: int = 
         q_std=float(q.std()),
         w_mean=w_mean,
         w_std=w_std,
-        n_mean=float(n.sum(axis=0).mean()),
+        n_mean=float(fleet.mean()),
         horizon_slots=q.shape[1],
     )
 
@@ -81,14 +93,6 @@ CSV_COLUMNS = [
 
 
 def csv_row(algorithm: str, pattern: str, report: MetricsReport) -> list:
-    return [
-        algorithm,
-        pattern,
-        repr(report.p_max),
-        repr(report.q_mean),
-        repr(report.w_mean),
-        repr(report.w_std),
-        repr(report.q_std),
-        repr(report.n_mean),
-        report.horizon_slots,
-    ]
+    """One report's CSV_COLUMNS, each float as its repr."""
+    fields = {"algorithm": algorithm, "pattern": pattern, **report.to_dict()}
+    return [repr(v) if isinstance(v, float) else v for v in map(fields.get, CSV_COLUMNS)]

@@ -72,7 +72,9 @@ class RewardParams:
 
 def compute_reward(queue_trace, queue_bound, n_allocated, params: RewardParams):
     """Per-epoch reward: alpha_over per slot strictly above the bound,
-    alpha_under per slot at or below it, minus the UAVs held.
+    alpha_under per slot at or below it, minus the UAVs held. The strict
+    q > bound is the reward's own rule (acceptance criterion 1); the
+    violation metric, metrics.slots_over, counts q == bound (criterion 8).
 
     `queue_trace` is (..., T) slots; `queue_bound` and `n_allocated` are
     scalars for one agent or arrays over the leading axes (one per agent).

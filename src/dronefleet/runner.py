@@ -1,4 +1,4 @@
-"""Drive a controller against the simulator and collect per-slot traces."""
+"""Drive a controller against the simulator and record what the run counted."""
 
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ from .simcore import SimState, apply_allocation_moves, init_sim, observe
 
 @dataclass
 class RunTraces:
-    q: np.ndarray  # queue length, shape (D, horizon)
-    n: np.ndarray  # allocated UAVs, shape (D, horizon)
-    waits: list  # per PDC: (arrival_slot, wait) per dispatched package, in dispatch order
-    horizon_slots: int
+    arrivals: np.ndarray  # packages arrived per PDC and slot, shape (D, slots)
+    dispatches: np.ndarray  # packages dispatched per PDC and slot, shape (D, slots)
+    n: np.ndarray  # UAVs each PDC held per decision epoch, shape (D, epochs)
 
 
 def run_epoch(
@@ -45,16 +44,6 @@ def queue_trace(arrivals: np.ndarray, dispatches: np.ndarray, q_start) -> np.nda
     return q
 
 
-def fifo_waits(arrivals: np.ndarray, dispatches: np.ndarray) -> np.ndarray:
-    """(arrival_slot, wait) rows, in dispatch order, for one FIFO queue's
-    per-slot arrival and dispatch counts."""
-    slots = np.arange(len(arrivals))
-    born = np.repeat(slots, arrivals)
-    left = np.repeat(slots, dispatches)
-    born = born[: len(left)]
-    return np.column_stack((born, left - born))
-
-
 def run_policy(
     district: District,
     processes: list,
@@ -63,7 +52,6 @@ def run_policy(
     epoch_slots: int,
     horizon_slots: int,
     seed: int | np.random.SeedSequence,
-    trace_path: str | None = None,
 ) -> RunTraces:
     """Run one fixed-policy episode of at least horizon_slots.
 
@@ -82,29 +70,13 @@ def run_policy(
     horizon = epochs * epoch_slots
     counts = np.empty((horizon, 2, d), dtype=np.int64)
     n_epochs = np.empty((epochs, d), dtype=np.int64)
-    fh = open(trace_path, "w", newline="") if trace_path is not None else None
-    try:
-        for epoch in range(epochs):
-            deltas = controller.decide(epoch, observe(state))
-            window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
-            run_epoch(state, deltas, sched_rng, counts[window])
-            # home counts change only between epochs
-            n_epochs[epoch] = state.home_counts[1:]
-
-        # (D, horizon) views of the counts; the waits come first, while the
-        # least else is held, since pairing them up takes the most memory
-        arrivals, dispatches = counts[:, 0].T, counts[:, 1].T
-        waits = [fifo_waits(arrivals[i], dispatches[i]) for i in range(d)]
-        # q and n are C-contiguous, as summarize's sums expect
-        q = queue_trace(arrivals, dispatches, [0] * d)
-        if fh is not None:
-            _write_trace(fh, q, n_epochs, arrivals, dispatches, epoch_slots)
-    finally:
-        if fh is not None:
-            fh.close()
-
-    n = np.repeat(n_epochs.T, epoch_slots, axis=1)
-    return RunTraces(q=q, n=n, waits=waits, horizon_slots=horizon)
+    for epoch in range(epochs):
+        deltas = controller.decide(epoch, observe(state))
+        window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
+        run_epoch(state, deltas, sched_rng, counts[window])
+        # home counts change only between epochs
+        n_epochs[epoch] = state.home_counts[1:]
+    return RunTraces(arrivals=counts[:, 0].T, dispatches=counts[:, 1].T, n=n_epochs.T)
 
 
 # epochs of trace.csv rows formatted at a time; the whole trace at once would
@@ -112,22 +84,27 @@ def run_policy(
 TRACE_BLOCK_EPOCHS = 32
 
 
-def _write_trace(fh, q, n_epochs, arrivals, dispatches, epoch_slots: int) -> None:
+def write_trace(path: str, traces: RunTraces) -> None:
     """Write trace.csv: a header, then t, q_*, n_*, arrivals_* and
     dispatches_* per slot, in the bytes csv.writer gives for these names and
     for plain ints."""
-    d = len(q)
+    arrivals, dispatches = traces.arrivals, traces.dispatches
+    d = len(arrivals)
+    q = queue_trace(arrivals, dispatches, [0] * d)
+    n_epochs = traces.n.T
+    epoch_slots = arrivals.shape[1] // len(n_epochs)
     header = ["t"]
     for name in ("q", "n", "arrivals", "dispatches"):
         header += [f"{name}_{pdc}" for pdc in range(1, d + 1)]
-    fh.write(",".join(header) + "\r\n")
     cells = ",".join(["%d"] * d)
-    row_head, row_tail = f"%d,{cells},", f",{cells},{cells}\r\n"
-    for first in range(0, len(n_epochs), TRACE_BLOCK_EPOCHS):
-        block = n_epochs[first : first + TRACE_BLOCK_EPOCHS].tolist()
-        # n holds over an epoch, so it goes into the epoch's rows' format
-        rows = "".join((row_head + ",".join(map(str, n)) + row_tail) * epoch_slots for n in block)
-        window = slice(first * epoch_slots, (first + len(block)) * epoch_slots)
-        slots = np.arange(window.start, window.stop)[None, :]
-        columns = np.concatenate((slots, q[:, window], arrivals[:, window], dispatches[:, window]))
-        fh.write(rows % tuple(columns.T.ravel().tolist()))
+    row = f"%d,{cells},{{}},{cells},{cells}\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for first in range(0, len(n_epochs), TRACE_BLOCK_EPOCHS):
+            block = n_epochs[first : first + TRACE_BLOCK_EPOCHS].tolist()
+            # n holds over an epoch, so it goes into the epoch's rows' format
+            rows = "".join(row.format(",".join(map(str, n))) * epoch_slots for n in block)
+            window = slice(first * epoch_slots, (first + len(block)) * epoch_slots)
+            slots = np.arange(window.start, window.stop)[None, :]
+            columns = np.concatenate([slots] + [x[:, window] for x in (q, arrivals, dispatches)])
+            fh.write(rows % tuple(columns.T.ravel().tolist()))

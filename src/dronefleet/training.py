@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import slots_over
 from .network import (
     adam_step,
     batch_gradient,
@@ -91,7 +92,6 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     reward_params: RewardParams = scenario.reward
     epoch_slots = reward_params.epoch_slots
     bounds = np.asarray(scenario.queue_bounds)
-    bound_column = bounds[:, None]
 
     master = np.random.SeedSequence(seed)
     layer_sizes = [STATE_SIZE, *cfg.hidden_sizes, NUM_ACTIONS]
@@ -142,7 +142,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
             for r in rewards.tolist():  # agent by agent, as a running float sum
                 reward_total += r
             buffer.push(encoded, actions, rewards, next_encoded, saturated)
-            over_ge += int((q_window >= bound_column).sum())
+            over_ge += int(slots_over(q_window, bounds).sum())
 
             if len(buffer) >= learn_after:
                 states, acts, rews, next_states, dones = buffer.sample(cfg.batch_size, replay_rngs)

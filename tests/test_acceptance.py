@@ -8,7 +8,6 @@ wall clock.
 """
 
 import json
-import math
 import multiprocessing
 import os
 import subprocess
@@ -286,11 +285,12 @@ def test_criterion_7_baselines_under_shifting_demand(capsys):
 
 
 def test_criterion_8_metrics_hand_example(capsys):
+    # three one-slot epochs; q is [[0, 4, 0], [4, 0, 4]], so q == bound
+    # counts, and the FIFO waits are eight of 0 and eight of 1
     traces = RunTraces(
-        q=np.array([[0, 4, 0], [4, 0, 4]]),
+        arrivals=np.array([[4, 4, 0], [4, 4, 4]]),
+        dispatches=np.array([[4, 0, 4], [0, 8, 0]]),
         n=np.array([[2, 2, 2], [1, 1, 3]]),
-        waits=[[(0, 0), (1, 2)], [(0, 2), (2, 4)]],
-        horizon_slots=3,
     )
     rep = summarize(traces, [4.0, 4.0], warmup_slots=0)
     checks = [
@@ -298,8 +298,8 @@ def test_criterion_8_metrics_hand_example(capsys):
         rep.p_max == 2 / 3,
         rep.q_mean == 2.0,
         rep.q_std == 2.0,
-        rep.w_mean == 2.0,
-        rep.w_std == math.sqrt(2.0),
+        rep.w_mean == 0.5,
+        rep.w_std == 0.5,
         rep.n_mean == 11 / 3,
     ]
     ok = all(checks)

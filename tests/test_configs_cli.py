@@ -576,6 +576,39 @@ def test_cli_sweep(tmp_path):
     assert [r[0] for r in rows[1:]] == ["40", "60"]
 
 
+def _bundled_scenario_doc(pattern):
+    path = os.path.join(os.path.dirname(dronefleet.__file__), "data", f"scenario_{pattern}.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("seeds, ran", [(None, 1), ([4, 5], 4)])
+def test_one_seed_commands_record_the_seed_that_ran(tmp_path, seeds, ran):
+    # eval, sweep and compare run only the first seed; with the config's
+    # seeds left to the default, that is its first
+    doc = {**_bundled_scenario_doc("bernoulli"), "controller": "static"}
+    del doc["seeds"]
+    if seeds is not None:
+        doc["seeds"] = seeds
+    config = write_config(tmp_path, doc)
+    runs = {
+        "eval": ["eval", "--config", config],
+        "eval_seeded": ["eval", "--config", config, "--seed", str(ran)],
+        "sweep": ["sweep", "--config", config, "--n-uavs", "40"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--horizon", "120", "--out", str(tmp_path / name)]) == 0
+        resolved = json.loads((tmp_path / name / "resolved_config.json").read_text())
+        assert resolved["seeds"] == [ran]
+    report = (tmp_path / "eval" / "report.json").read_bytes()
+    assert report == (tmp_path / "eval_seeded" / "report.json").read_bytes()
+
+    out = tmp_path / "compare"
+    argv = ["compare", "--patterns", "bernoulli", "--algorithms", "static", "--horizon", "120"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads((out / "resolved_bernoulli.json").read_text())["seeds"] == [1]
+
+
 def test_cli_eval_n_uavs_sets_the_fleet(tmp_path):
     config = write_config(tmp_path, base_doc())
     out = tmp_path / "out"

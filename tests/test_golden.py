@@ -1,11 +1,11 @@
 """Golden output digests: short fixed-seed CLI runs must keep their bytes.
 
 Every run goes through `cli.main` in this process, and the SHA-256 of each
-file it writes (resolved config, reports, trace, curves, checkpoints) is
-compared with the digest recorded below. Random streams and float formatting
-come from numpy, so the digests hold for the numpy version recorded beside
-them. Change a digest only together with a stated reason why the bytes
-changed.
+file it writes (resolved configs, reports, sweep and compare tables, trace,
+curves, checkpoints) is compared with the digest recorded below. Random
+streams and float formatting come from numpy, so the digests hold for the
+numpy version recorded beside them. Change a digest only together with a
+stated reason why the bytes changed.
 
 To print the digests of the current code:
 
@@ -29,13 +29,16 @@ NUMPY_VERSION = "2.4.6"
 
 PATTERNS = ("bernoulli", "tvb", "mmb")
 BASELINES = ("static", "threshold", "ql")
-EVAL_FLAGS = ["--trace", "--horizon", "6000", "--seed", "7"]
 TRAIN_SETTINGS = {"episodes": 2, "max_steps_per_episode": 30, "min_buffer": 25}
 TRAIN_SEED = 7
 # three seeds, so that curves/summary.csv has a spread to report, and 3 x 20
 # steps, where the order of the epsilon cutoff's product shows in its bits
 MULTI_SEED_TRAIN = {"episodes": 3, "max_steps_per_episode": 20, "min_buffer": 25}
 MULTI_SEEDS = [3, 5, 8]
+RUN_FLAGS = ["--horizon", "6000", "--seed", "7"]
+EVAL_FLAGS = ["--trace", *RUN_FLAGS]
+SWEEP_FLAGS = ["--n-uavs", "40", "60", *RUN_FLAGS]
+COMPARE_FLAGS = ["--patterns", "bernoulli", "mmb", "--algorithms", "static", "ql", *RUN_FLAGS]
 
 GOLDEN = {
     "eval/bernoulli/static": {
@@ -125,6 +128,19 @@ GOLDEN = {
         "curves/seed8.csv": "eb2f502cfd54463cf274c072ba5dbed55dcd790b81571f985d89fb4792b34e4f",
         "curves/summary.csv": "50cc0c61f7962d370c952708c79e34fa5fd721a6182f6aaf61ddb00f24d6c0d3",
         "resolved_config.json": "7c244b9c9e4f68ab1061bd38d81346f082e0aa1ef49401369d3f2cfa65d1f421"
+    },
+    "sweep/bernoulli": {
+        "resolved_config.json": "098c7825431829ccb66523ae8ec44260672e7fdb2234d90ccf88aaa1725abfcb",
+        "sweep.csv": "4823241cc4864516ea09645ed40db478bc72cf86929eae90c7541c9c98061b01"
+    },
+    "compare": {
+        "compare.csv": "f918489a41385d236d93ae53256bd6e3a96dcfb000102efd8bf06e40e3a9134c",
+        "reports/ql_bernoulli.json": "ef612c8c35a61784e2b3e5fa3b968d7c73edd5e4c0be6e2fcdf73680436a1d30",
+        "reports/ql_mmb.json": "da7a115ff70bb734c808158f8b91e7d8534160052fbf34dad7d5cef5f5a3b0ba",
+        "reports/static_bernoulli.json": "1551918175d191cc8b6b336eac157303102382c639f1174dd4a22068d4686c59",
+        "reports/static_mmb.json": "143fc4aa539431f21d087887c672348c3507095b2c40d788c0e39b94d85f2ba9",
+        "resolved_bernoulli.json": "25884ee9c03e096d70eb5c13d9c1722141b8e830ea50043c0cc088378ce0c460",
+        "resolved_mmb.json": "84a23ade3e801b09b56da758002df2e27ce02584a088bd01d7958d1b1e39abf2"
     }
 }
 
@@ -145,11 +161,15 @@ def _digests(out):
 
 
 def _run(tmp, name, doc, argv):
-    config = os.path.join(tmp, f"{name.replace('/', '_')}.json")
-    with open(config, "w") as fh:
-        json.dump(doc, fh)
+    """Run `argv` with its output under `tmp`/`name`, and with `doc` as its
+    --config unless `doc` is None (compare reads the bundled scenarios)."""
     out = os.path.join(tmp, name)
-    code = main([argv[0], "--config", config, "--out", out, *argv[1:]])
+    if doc is not None:
+        config = os.path.join(tmp, f"{name.replace('/', '_')}.json")
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+        argv = [argv[0], "--config", config, *argv[1:]]
+    code = main([*argv, "--out", out])
     assert code == 0, f"{name} exited {code}"
     return out
 
@@ -170,6 +190,9 @@ def collect_digests(tmp):
     runs["eval/bernoulli/rl"] = _digests(out)
     doc = _scenario("bernoulli", train=MULTI_SEED_TRAIN, seeds=MULTI_SEEDS)
     runs["train/bernoulli-3-seeds"] = _digests(_run(tmp, "train/bernoulli-3-seeds", doc, ["train"]))
+    doc = _scenario("bernoulli", controller="threshold")
+    runs["sweep/bernoulli"] = _digests(_run(tmp, "sweep/bernoulli", doc, ["sweep", *SWEEP_FLAGS]))
+    runs["compare"] = _digests(_run(tmp, "compare", None, ["compare", *COMPARE_FLAGS]))
     return runs
 
 

@@ -10,7 +10,8 @@ from dronefleet.arrivals import ArrivalProcess
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
-from dronefleet.runner import fifo_waits, queue_trace, run_epoch, run_policy
+from dronefleet.metrics import fifo_waits, summarize
+from dronefleet.runner import queue_trace, run_epoch, run_policy, write_trace
 from dronefleet.scheduler import schedule
 from dronefleet.simcore import apply_allocation_moves, init_sim, observe, step_slot
 
@@ -55,9 +56,8 @@ def test_horizon_rounds_up_to_whole_epochs():
         horizon_slots=61,
         seed=0,
     )
-    assert traces.horizon_slots == 120
-    assert traces.q.shape == (2, 120)
-    assert traces.n.shape == (2, 120)
+    assert traces.arrivals.shape == traces.dispatches.shape == (2, 120)
+    assert traces.n.shape == (2, 2)
 
 
 def test_controller_consulted_once_per_epoch():
@@ -102,11 +102,11 @@ def test_seed_reproducibility_and_sensitivity():
     a = run_policy(**{**kwargs, "processes": procs()}, seed=7)
     b = run_policy(**{**kwargs, "processes": procs()}, seed=7)
     c = run_policy(**{**kwargs, "processes": procs()}, seed=8)
-    assert np.array_equal(a.q, b.q)
+    assert np.array_equal(a.arrivals, b.arrivals)
+    assert np.array_equal(a.dispatches, b.dispatches)
     assert np.array_equal(a.n, b.n)
-    assert len(a.waits) == len(b.waits) == 2
-    assert all(np.array_equal(x, y) for x, y in zip(a.waits, b.waits))
-    assert not np.array_equal(a.q, c.q)
+    assert summarize(a, [2.0, 2.0]) == summarize(b, [2.0, 2.0])
+    assert not np.array_equal(a.arrivals, c.arrivals)
 
 
 def test_trace_csv_layout(tmp_path):
@@ -119,16 +119,17 @@ def test_trace_csv_layout(tmp_path):
         epoch_slots=30,
         horizon_slots=60,
         seed=3,
-        trace_path=str(path),
     )
+    write_trace(str(path), traces)
+    q = queue_trace(traces.arrivals, traces.dispatches, [0, 0])
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "q_1", "q_2", "n_1", "n_2", "arrivals_1", "arrivals_2", "dispatches_1", "dispatches_2"]
     assert len(rows) == 61
     for slot, row in enumerate(rows[1:]):
         assert int(row[0]) == slot
-        assert int(row[1]) == traces.q[0, slot]
-        assert int(row[3]) == traces.n[0, slot]
+        assert int(row[1]) == q[0, slot]
+        assert int(row[3]) == traces.n[0, slot // 30]
 
 
 def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
@@ -144,8 +145,8 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
         cfg.reward.epoch_slots,
         600,
         seed=3,
-        trace_path=str(path),
     )
+    write_trace(str(path), traces)
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     rows = [[int(cell) for cell in row] for row in rows]
@@ -158,10 +159,13 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
     cells = np.array(rows).T
     assert np.array_equal(cells[0], np.arange(600))
     q, n, arrived, dispatched = cells[1:].reshape(4, d, 600)
-    assert np.array_equal(q, traces.q) and np.array_equal(n, traces.n)
+    assert np.array_equal(arrived, traces.arrivals)
+    assert np.array_equal(dispatched, traces.dispatches)
+    assert np.array_equal(n, np.repeat(traces.n, cfg.reward.epoch_slots, axis=1))
     assert (n != n[:, :1]).any()
     assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
-    assert [len(w) for w in traces.waits] == dispatched.sum(axis=1).tolist()
+    waits = [fifo_waits(a, dsp) for a, dsp in zip(traces.arrivals, traces.dispatches)]
+    assert [len(w) for w in waits] == dispatched.sum(axis=1).tolist()
 
 
 def test_rejects_bad_horizon():
@@ -177,13 +181,6 @@ def test_rejects_bad_horizon():
         )
 
 
-def test_fifo_waits_pair_arrivals_with_dispatches_in_order():
-    # three packages land at t=0; two leave at once, the third at t=7
-    arrivals = np.array([3, 0, 0, 0, 0, 0, 0, 0, 1])
-    dispatches = np.array([2, 0, 0, 0, 0, 0, 0, 1, 0])
-    assert fifo_waits(arrivals, dispatches).tolist() == [[0, 0], [0, 0], [0, 7]]
-
-
 def test_run_policy_waits_match_a_per_package_replay(tmp_path):
     path = tmp_path / "trace.csv"
     traces = run_policy(
@@ -194,8 +191,8 @@ def test_run_policy_waits_match_a_per_package_replay(tmp_path):
         epoch_slots=30,
         horizon_slots=600,
         seed=9,
-        trace_path=str(path),
     )
+    write_trace(str(path), traces)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     for pdc in (1, 2):
@@ -207,7 +204,11 @@ def test_run_policy_waits_match_a_per_package_replay(tmp_path):
                 born = waiting.popleft()
                 want.append([born, t - born])
         assert any(w > 0 for _, w in want)
-        assert traces.waits[pdc - 1].tolist() == want
+        arrivals, dispatches = traces.arrivals[pdc - 1], traces.dispatches[pdc - 1]
+        # each warmup keeps the waits of the packages that arrived after it
+        for warmup in (0, 1, 250, 599):
+            kept = [w for born, w in want if born >= warmup]
+            assert fifo_waits(arrivals, dispatches, warmup).tolist() == kept
 
 
 def test_run_epoch_counts_and_static_moves():
@@ -289,8 +290,9 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
 
 @pytest.mark.parametrize("controller", ["threshold", "ql"])
 def test_run_policy_matches_a_slot_by_slot_twin(controller):
-    # run_policy builds its traces once, at the end; the twin steps one slot
-    # at a time and replays the FIFO queues package by package
+    # run_policy counts each epoch in one kernel call and summarize derives
+    # the rest; the twin steps one slot at a time and replays the FIFO
+    # queues package by package
     cfg = replace(load_experiment_config("mmb"), controller=controller)
     epoch_slots, d = cfg.reward.epoch_slots, cfg.district.num_pdcs
     traces = run_policy(
@@ -306,7 +308,7 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
     sched_rng = np.random.default_rng(sched_ss)
     state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation_counts(), env_ss)
     ctrl = cfg.build_controller()
-    q, n = [], []
+    arrivals, dispatches, q, n = [], [], [], []
     waiting = [deque() for _ in range(d)]
     waits = [[] for _ in range(d)]
     for epoch in range(1800 // epoch_slots):
@@ -315,6 +317,8 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
         for _ in range(epoch_slots):
             t = state.t
             arrived, dispatched = step_slot(state)
+            arrivals.append(arrived)
+            dispatches.append(dispatched)
             for i in range(d):
                 waiting[i].extend([t] * arrived[i])
                 for _ in range(dispatched[i]):
@@ -322,8 +326,25 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
                     waits[i].append([born, t - born])
             q.append([len(queue) for queue in state.queues])
             n.append(state.home_counts[1:].tolist())
-    assert np.array_equal(traces.q, np.array(q).T)
-    assert np.array_equal(traces.n, np.array(n).T)
-    assert [w.tolist() for w in traces.waits] == waits
-    assert traces.q.flags.c_contiguous and traces.n.flags.c_contiguous
+    assert np.array_equal(traces.arrivals, np.array(arrivals).T)
+    assert np.array_equal(traces.dispatches, np.array(dispatches).T)
+    assert np.array_equal(np.repeat(traces.n, epoch_slots, axis=1), np.array(n).T)
+    built = queue_trace(traces.arrivals, traces.dispatches, [0] * d)
+    assert np.array_equal(built, np.array(q).T) and built.flags.c_contiguous
+    pairs = zip(traces.arrivals, traces.dispatches)
+    assert [fifo_waits(a, dsp).tolist() for a, dsp in pairs] == [[w for _, w in x] for x in waits]
     assert len(set(map(tuple, n))) > 1 and max(map(len, waits)) > 100
+
+    # summarize reports what the twin saw
+    warmup = 100
+    report = summarize(traces, cfg.queue_bounds, warmup)
+    q_after = np.array(q)[warmup:]
+    kept = np.array([w for per_pdc in waits for born, w in per_pdc if born >= warmup], dtype=float)
+    over = (q_after >= np.array(cfg.queue_bounds)).mean(axis=0)
+    assert report.violation == over.tolist()
+    assert report.q_mean == pytest.approx(q_after.mean(), rel=1e-12)
+    assert report.q_std == pytest.approx(q_after.std(), rel=1e-12)
+    assert report.w_mean == pytest.approx(kept.mean(), rel=1e-12)
+    assert report.w_std == pytest.approx(kept.std(), rel=1e-12)
+    assert report.n_mean == pytest.approx(np.array(n)[warmup:].sum(axis=1).mean(), rel=1e-12)
+    assert report.horizon_slots == 1800 - warmup
