@@ -214,7 +214,9 @@ def cmd_sweep(args) -> int:
     cfg = _config(args, args.config)
     cells = [_config(args, args.config, total) for total in args.fleet_sizes]
     nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
-    out = _output_dir(args, {"resolved_config.json": cfg})
+    out = _output_dir(
+        args, {f"resolved_n{total}.json": run_cfg for total, run_cfg in zip(args.fleet_sizes, cells)}
+    )
     d = cfg.district.num_pdcs
     rows = []
     for total, run_cfg in zip(args.fleet_sizes, cells):

@@ -34,19 +34,31 @@ def action_delta(action: int, delta: int) -> int:
     return (action - 1) * delta
 
 
+# kinds of observation already logged as clamped; a run that outgrows the
+# bit budget does so at every step, so each kind is logged once per process
+_warned: set[str] = set()
+
+
+def _warn_once(kind: str, value, bits: int) -> None:
+    if kind not in _warned:
+        _warned.add(kind)
+        logger.warning("%s %d exceeds %d bits, clamping (logged once)", kind, value, bits)
+
+
 def encode_state(n, q) -> np.ndarray:
     """25 binary inputs per observation; values beyond the bit budget are
-    clamped. `n` and `q` are one agent's counts or equal-shape arrays of
-    them (one per agent); the bits form a new last axis."""
+    clamped, with one warning per kind and process. `n` and `q` are one
+    agent's counts or equal-shape arrays of them (one per agent); the bits
+    form a new last axis."""
     n = np.asarray(n, dtype=np.int64)
     q = np.asarray(q, dtype=np.int64)
     if (q < 0).any() or (n < 0).any():
         raise ValueError("negative observation")
     if (q >= 1 << QUEUE_BITS).any():
-        logger.warning("queue length %d exceeds %d bits, clamping", q.max(), QUEUE_BITS)
+        _warn_once("queue length", q.max(), QUEUE_BITS)
         q = np.minimum(q, (1 << QUEUE_BITS) - 1)
     if (n >= 1 << COUNT_BITS).any():
-        logger.warning("UAV count %d exceeds %d bits, clamping", n.max(), COUNT_BITS)
+        _warn_once("UAV count", n.max(), COUNT_BITS)
         n = np.minimum(n, (1 << COUNT_BITS) - 1)
     bits = np.concatenate(
         ((q[..., None] >> np.arange(QUEUE_BITS)) & 1, (n[..., None] >> np.arange(COUNT_BITS)) & 1),

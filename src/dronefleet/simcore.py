@@ -1,9 +1,9 @@
 """Slot-based simulation of the district: queues, drone missions, dispatch.
 
-One slot is one minute. Each step handles, in this order:
+One slot is one minute. Each slot handles, in this order:
   1. drones whose free slot is due turn idle,
   2. truck arrivals join the local queue,
-  3. FCFS dispatch of idle drones against the local queue,
+  3. FCFS dispatch: the lowest idle ids take the oldest packages,
   4. the clock.
 Arrivals do not depend on the fleet, so each center's trucks, batch sizes,
 destinations and trip lengths are drawn a block of slots ahead, in the order
@@ -15,16 +15,25 @@ ends at `back`, a one-slot battery swap follows and the drone is idle again
 at `free`. Its phase is read off the clock: delivering while t <= drop,
 returning while drop < t <= back, and locked (relocating or swapping) after
 that until `free`. Fleet moves decided by a controller are applied between
-slots via apply_allocation_moves and only rewrite `back` and `free`. A drone
+calls via apply_allocation_moves and only rewrite `back` and `free`. A drone
 always belongs to exactly one home (0 is the port, 1..D the PDCs), so
 sum(n_d) == total fleet size at every slot.
+
+Within one step_slot call no drone changes home, so each center is a FIFO
+queue with its own servers, and the call runs center by center, package by
+package. Each drone is one int key, free slot << bits | id, in a heap of its
+home's drones: the heap's head is the earliest free drone, lowest id first.
+A package is queued as its occupancy, the slots its mission holds a drone,
+shifted the same way, so a dispatch adds it to the head's key. The call
+costs O(fleet) on top of its packages: it keys every drone and writes back
+each one's state, however few slots it steps.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heapify, heapreplace
 
 import numpy as np
 
@@ -46,19 +55,22 @@ class SimState:
     back: list[int]
     free: list[int]
     dest: list[Point | None]
-    queues: list[deque]  # per PDC: (trip_slots, destination) per package
+    queues: list[deque]  # per PDC: the occupancy key of each landed package
     idle: list[list[int]]  # sorted drone ids per home, index 0 is the port
     home_counts: np.ndarray
     arrival_rngs: list[np.random.Generator]
     dest_rngs: list[np.random.Generator]
+    # per PDC: (slot, occupancy keys) of each batch drawn ahead, in slot
+    # order, and the destination x and y of each package from the queue's
+    # head on
+    landing: list[deque]
+    xs: list[list[float]]
+    ys: list[list[float]]
     t: int = 0
-    due: dict[int, list[int]] = field(default_factory=dict)  # free slot -> drone ids
     # arrivals are drawn for the slots before `drawn`; the length of the last
     # block drawn
     drawn: int = 0
     block: int = 0
-    # slot -> batches drawn for it: (PDC index, trips, xs, ys) per batch
-    landing: dict[int, list] = field(default_factory=dict)
 
 
 def init_sim(
@@ -102,6 +114,9 @@ def init_sim(
         home_counts=counts,
         arrival_rngs=[np.random.default_rng(children[2 * i]) for i in range(d)],
         dest_rngs=[np.random.default_rng(children[2 * i + 1]) for i in range(d)],
+        landing=[deque() for _ in range(d)],
+        xs=[[] for _ in range(d)],
+        ys=[[] for _ in range(d)],
     )
 
 
@@ -110,24 +125,21 @@ def observe(state: SimState) -> list[tuple[int, int]]:
     return list(zip(state.home_counts[1:].tolist(), map(len, state.queues)))
 
 
-def _book(state: SimState, uid: int, free: int) -> None:
-    state.free[uid] = free
-    state.due.setdefault(free, []).append(uid)
-
-
 # Look-ahead bound, in slots: the first block covers what the first step
 # asks for and each later one doubles, up to this many slots.
 MAX_BLOCK = 960
 
 
-def _draw_ahead(state: SimState, until: int) -> None:
+def _draw_ahead(state: SimState, until: int, bits: int) -> None:
     """Draw every PDC's arrivals for the slots before `until` into
-    state.landing: trucks and batch sizes with the phase chain's steps, then
-    one destination draw for the block's batches."""
+    state.landing, state.xs and state.ys: trucks and batch sizes with the
+    phase chain's steps, then one destination draw for the block's batches.
+    A package is drawn as its occupancy key, shifted left by `bits`."""
     mps = state.district.meters_per_slot
-    landing, drawn = state.landing, state.drawn
+    drawn = state.drawn
     lanes = zip(state.processes, state.arrival_rngs, state.dest_rngs, state.district.regions)
-    for i, (proc, arng, drng, region) in enumerate(lanes):
+    stores = zip(state.landing, state.xs, state.ys)
+    for (proc, arng, drng, region), (landing, dest_xs, dest_ys) in zip(lanes, stores):
         interval = proc.truck_interval
         t = drawn + -drawn % interval  # the first opportunity not drawn yet
         slots, sizes = [], []
@@ -143,12 +155,16 @@ def _draw_ahead(state: SimState, until: int) -> None:
         dests = sample_destinations(region, drng, sum(sizes), sizes)
         ox, oy = region.pdc_location
         xs, ys = dests.T
-        trips = np.ceil(np.hypot(xs - ox, ys - oy) / mps).astype(np.int64).tolist()
-        xs, ys = xs.tolist(), ys.tolist()
+        trips = np.ceil(np.hypot(xs - ox, ys - oy) / mps).astype(np.int64)
+        # a mission holds its drone max(trip, 1) slots out (a delivery takes
+        # at least one), trip slots back and one slot of battery swap
+        keys = ((np.maximum(trips, 1) + trips + 1) << bits).tolist()
+        dest_xs += xs.tolist()
+        dest_ys += ys.tolist()
         end = 0
         for slot, size in zip(slots, sizes):
             begin, end = end, end + size
-            landing.setdefault(slot, []).append((i, trips[begin:end], xs[begin:end], ys[begin:end]))
+            landing.append((slot, keys[begin:end]))
     state.drawn = until
 
 
@@ -159,56 +175,73 @@ def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
         raise ValueError("step at least one slot")
     t0 = state.t
     stop = t0 + slots
+    home, free = state.home, state.free
+    bits = max(1, (len(home) - 1).bit_length())
     if stop > state.drawn:
         state.block = min(max(stop - state.drawn, 2 * state.block), MAX_BLOCK)
-        _draw_ahead(state, max(stop, state.drawn + state.block))
+        _draw_ahead(state, max(stop, state.drawn + state.block), bits)
 
-    free, due, home, idle_lists = state.free, state.due, state.home, state.idle
+    mask = (1 << bits) - 1
+    limit = stop << bits
+    # idle drones, and drones freeing at t0, are keyed at t0
+    heaps: list[list[int]] = [[] for _ in state.idle]
+    for uid, h, f in zip(range(len(home)), home, free):
+        heaps[h].append((f if f > t0 else t0) << bits | uid)
+
     start, drop, back, dest = state.start, state.drop, state.back, state.dest
-    landing, queues = state.landing, state.queues
-    pools = list(zip(queues, idle_lists[1:]))
-    d = len(pools)
+    d = len(state.queues)
     arrived = [0] * (slots * d)
     dispatched = [0] * (slots * d)
-    row = 0
-    for t in range(t0, stop):
-        # a moved drone leaves its old entry behind; only the live one counts
-        ending = due.pop(t, None)
-        if ending:
-            for uid in ending:
-                if free[uid] == t:
-                    free[uid] = IDLE_FREE
-                    insort(idle_lists[home[uid]], uid)
+    centers = zip(heaps[1:], state.queues, state.landing, state.xs, state.ys)
+    for i, (heap, queue, landing, xs, ys) in enumerate(centers):
+        batches = []
+        while landing and landing[0][0] < stop:
+            batches.append(landing.popleft())
+        if not (queue or batches):
+            continue
+        batches.append((stop, ()))  # the call's end: only dispatches before it
+        heapify(heap)
+        sent = []  # the key of the drone that took each package, in order
+        popleft, log = queue.popleft, sent.append
+        row = i - t0 * d  # slot * d + row indexes this center's counts
+        for slot, keys in batches:
+            now = slot << bits
+            if heap:
+                while queue and (key := heap[0]) < now:
+                    heapreplace(heap, key + popleft())
+                    log(key)
+            if keys:
+                arrived[slot * d + row] = len(keys)
+                if heap and heap[0] < now:
+                    # drones idle since before the truck: at its slot the
+                    # lowest id goes first, not the one idle longest
+                    heap[:] = [now | key & mask if key < now else key for key in heap]
+                    heapify(heap)
+                queue.extend(keys)
 
-        # the packages are built as they land
-        batches = landing.pop(t, None)
-        if batches:
-            for i, trips, xs, ys in batches:
-                arrived[row + i] = len(trips)
-                queues[i].extend(zip(trips, zip(xs, ys)))
+        for key in sent:
+            dispatched[(key >> bits) * d + row] += 1
+        # each dispatched drone's last mission: its key in the heap is that
+        # mission's free slot, back is one swap slot before it, and the
+        # occupancy free - start is 2 trip + 1 (2 for a zero trip)
+        last = {key & mask: j for j, key in enumerate(sent)}
+        for key in heap:
+            j = last.get(key & mask)
+            if j is not None:
+                uid = key & mask
+                start[uid] = s = sent[j] >> bits
+                free[uid] = f = key >> bits
+                back[uid] = f - 1
+                drop[uid] = f - 1 - ((f - s - 1) >> 1)
+                dest[uid] = xs[j], ys[j]
+        del xs[: len(sent)], ys[: len(sent)]
 
-        i = row
-        for queue, idle in pools:
-            if queue and idle:
-                k = min(len(queue), len(idle))
-                # FCFS: the lowest idle ids take the oldest packages
-                uids = idle[:k]
-                del idle[:k]
-                for uid in uids:
-                    trip, dest[uid] = queue.popleft()
-                    start[uid] = t
-                    # a delivery occupies at least one slot
-                    drop[uid] = out = t + (trip if trip > 1 else 1)
-                    back[uid] = home_at = out + trip
-                    free[uid] = ready = home_at + 1
-                    if ready in due:
-                        due[ready].append(uid)
-                    else:
-                        due[ready] = [uid]
-                dispatched[i] = k
-            i += 1
-        row += d
-
+    idle: list[list[int]] = [[] for _ in heaps]
+    for uid, (h, f) in enumerate(zip(home, free)):
+        if f < stop:
+            free[uid] = IDLE_FREE
+            idle[h].append(uid)
+    state.idle = idle
     state.t = stop
     return arrived, dispatched
 
@@ -234,15 +267,15 @@ def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> Non
         if state.free[uid] == IDLE_FREE:
             state.idle[old_home].remove(uid)
             leg = distance(district.location_of(old_home), district.location_of(target))
-            _book(state, uid, t + travel_time_slots(leg, speed))
+            state.free[uid] = t + travel_time_slots(leg, speed)
         elif t <= state.drop[uid]:
             drop = state.back[uid] = state.drop[uid]
             leg = distance(state.dest[uid], district.location_of(target))
-            _book(state, uid, drop + travel_time_slots(leg, speed) + 1)
+            state.free[uid] = drop + travel_time_slots(leg, speed) + 1
         elif t <= state.back[uid]:
             state.back[uid] = state.drop[uid]
             leg = distance(district.location_of(old_home), district.location_of(target))
-            _book(state, uid, t + travel_time_slots(leg, speed) + 1)
+            state.free[uid] = t + travel_time_slots(leg, speed) + 1
         else:
             raise ValueError(f"UAV {uid} is not movable while relocating or swapping")
         state.home[uid] = target

@@ -11,6 +11,7 @@ from collections import deque
 import numpy as np
 
 from dronefleet.arrivals import ArrivalProcess
+from dronefleet.geography import sample_destinations
 from dronefleet.network import forward
 from dronefleet.rlagent import COUNT_BITS, QUEUE_BITS, STATE_SIZE
 from dronefleet.simcore import IDLE_FREE, SimState
@@ -48,15 +49,11 @@ def build_state(district, drones, t=0):
     """Assemble a consistent SimState around hand-made drones, one dict per
     id in order (see idle, delivering, returning and locked)."""
     d = district.num_pdcs
-    n = len(drones)
     idle_ids = [[] for _ in range(d + 1)]
     counts = np.zeros(d + 1, dtype=np.int64)
-    due = {}
     for uid, drone in enumerate(drones):
         counts[drone["home"]] += 1
-        if "free" in drone:
-            due.setdefault(drone["free"], []).append(uid)
-        else:
+        if "free" not in drone:
             idle_ids[drone["home"]].append(uid)
     procs = [
         ArrivalProcess(truck_interval=30, batch_mean=1, batch_half_width=0, p_high=0.0)
@@ -76,9 +73,69 @@ def build_state(district, drones, t=0):
         home_counts=counts,
         arrival_rngs=[np.random.default_rng(i) for i in range(d)],
         dest_rngs=[np.random.default_rng(100 + i) for i in range(d)],
+        landing=[deque() for _ in range(d)],
+        xs=[[] for _ in range(d)],
+        ys=[[] for _ in range(d)],
         t=t,
-        due=due,
+        drawn=t,
     )
+
+
+class SlotRule:
+    """The simulator's slot rule, stepped one slot at a time over the
+    per-drone lists of a SimState made by init_sim.
+
+    Each slot: every drone whose free slot is due turns idle; each center's
+    truck, if one comes, lands its batch at the back of the center's queue;
+    then at each center the lowest idle ids take the oldest packages, one
+    each. Arrivals are drawn slot by slot from the state's own generators,
+    one destination draw per batch. Only the per-drone lists, the idle
+    lists and the clock of the state are used; the queues live here.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.queues = [deque() for _ in state.processes]  # (trip, destination)
+
+    def step(self, slots):
+        """Flat slot-major arrival and dispatch counts, as step_slot gives."""
+        s = self.state
+        district = s.district
+        lanes = list(zip(s.processes, s.arrival_rngs, s.dest_rngs, district.regions))
+        arrived, dispatched = [], []
+        for t in range(s.t, s.t + slots):
+            for uid in range(len(s.home)):
+                if s.free[uid] == t:
+                    s.free[uid] = IDLE_FREE
+                    s.idle[s.home[uid]] = sorted(s.idle[s.home[uid]] + [uid])
+
+            for (proc, arng, drng, region), queue in zip(lanes, self.queues):
+                size = proc.draw_batch(t, arng)
+                proc.advance_slot(t, arng)
+                if size:
+                    points = sample_destinations(region, drng, size)
+                    ox, oy = region.pdc_location
+                    trips = np.ceil(
+                        np.hypot(points[:, 0] - ox, points[:, 1] - oy) / district.meters_per_slot
+                    )
+                    for trip, (x, y) in zip(trips.tolist(), points.tolist()):
+                        queue.append((int(trip), (x, y)))
+                arrived.append(size)
+
+            for pdc, queue in enumerate(self.queues, start=1):
+                sent = 0
+                while queue and s.idle[pdc]:
+                    uid = s.idle[pdc].pop(0)
+                    trip, dest = queue.popleft()
+                    s.start[uid] = t
+                    s.drop[uid] = t + max(trip, 1)  # a delivery takes at least one slot
+                    s.back[uid] = s.drop[uid] + trip
+                    s.free[uid] = s.back[uid] + 1  # one slot of battery swap
+                    s.dest[uid] = dest
+                    sent += 1
+                dispatched.append(sent)
+        s.t += slots
+        return arrived, dispatched
 
 
 def markov_arrivals(proc, rng, slots):

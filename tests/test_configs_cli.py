@@ -574,6 +574,12 @@ def test_cli_sweep(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["total_uavs", "p_max", "n_mean"] + [f"violation_{p}" for p in range(1, 5)]
     assert [r[0] for r in rows[1:]] == ["40", "60"]
+    # one resolved config per fleet size, each recording the fleet it ran
+    assert sorted(p.name for p in out.glob("resolved_*")) == ["resolved_n40.json", "resolved_n60.json"]
+    for total in (40, 60):
+        resolved = json.loads((out / f"resolved_n{total}.json").read_text())
+        assert resolved["total_uavs"] == total
+        assert sum(resolved["initial_allocation"]) == total  # the static split
 
 
 def _bundled_scenario_doc(pattern):
@@ -598,7 +604,8 @@ def test_one_seed_commands_record_the_seed_that_ran(tmp_path, seeds, ran):
     }
     for name, argv in runs.items():
         assert main([*argv, "--horizon", "120", "--out", str(tmp_path / name)]) == 0
-        resolved = json.loads((tmp_path / name / "resolved_config.json").read_text())
+        resolved_name = "resolved_n40.json" if name == "sweep" else "resolved_config.json"
+        resolved = json.loads((tmp_path / name / resolved_name).read_text())
         assert resolved["seeds"] == [ran]
     report = (tmp_path / "eval" / "report.json").read_bytes()
     assert report == (tmp_path / "eval_seeded" / "report.json").read_bytes()

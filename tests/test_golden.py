@@ -130,7 +130,8 @@ GOLDEN = {
         "resolved_config.json": "7c244b9c9e4f68ab1061bd38d81346f082e0aa1ef49401369d3f2cfa65d1f421"
     },
     "sweep/bernoulli": {
-        "resolved_config.json": "098c7825431829ccb66523ae8ec44260672e7fdb2234d90ccf88aaa1725abfcb",
+        "resolved_n40.json": "4a558824979521533e0c343bc2e13350313631916d6a36383bdb646f76bfcbb1",
+        "resolved_n60.json": "098c7825431829ccb66523ae8ec44260672e7fdb2234d90ccf88aaa1725abfcb",
         "sweep.csv": "4823241cc4864516ea09645ed40db478bc72cf86929eae90c7541c9c98061b01"
     },
     "compare": {

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from dronefleet import rlagent
 from dronefleet.network import QNetwork, forward, init_network, stack_networks
 from dronefleet.rlagent import (
     COUNT_BITS,
@@ -52,11 +53,17 @@ def test_encode_decode_roundtrip():
         assert decode_state(encode_state(n, q)) == (n, q)
 
 
-def test_encode_clamps_and_warns(caplog):
+def test_encode_clamps_and_warns(caplog, monkeypatch):
+    # nothing warned yet in this process, whatever ran before
+    monkeypatch.setattr(rlagent, "_warned", set())
     with caplog.at_level(logging.WARNING):
         enc = encode_state(n=(1 << COUNT_BITS) + 7, q=(1 << QUEUE_BITS) + 1)
+        again = encode_state(n=[1 << COUNT_BITS, 1], q=[(1 << QUEUE_BITS) + 9, 0])
     assert decode_state(enc) == ((1 << COUNT_BITS) - 1, (1 << QUEUE_BITS) - 1)
-    assert len(caplog.records) == 2
+    assert decode_state(again[0]) == decode_state(enc)
+    # one record per kind, the queue's and the count's, not one per call
+    queue, count = (r.getMessage() for r in caplog.records)
+    assert queue.startswith("queue length") and count.startswith("UAV count")
 
 
 def test_encode_rejects_negative():

@@ -13,7 +13,7 @@ from dronefleet.simcore import (
     step_slot,
 )
 
-from oracles import phase
+from oracles import SlotRule, phase
 
 
 def point_region(pdc_xy, dest_xy):
@@ -73,7 +73,7 @@ def test_delivery_lifecycle_timing():
     step_slot(state)  # t=0: arrival and dispatch
     assert (state.start[0], state.drop[0], state.back[0], state.free[0]) == (0, 3, 6, 7)
     assert state.dest[0] == (900.0, 0.0)
-    assert state.due == {7: [0]}  # one due event per mission
+    assert state.idle == [[], []]  # busy until its free slot
     assert observe(state) == [(1, 0)]
 
     phases = []
@@ -259,8 +259,8 @@ def test_fleet_conservation_under_random_moves():
         recount = np.bincount(state.home, minlength=4)
         assert list(recount) == list(state.home_counts)
         assert int(state.home_counts.sum()) == 9
-        # idle bookkeeping matches the per-drone truth, and every busy drone
-        # has a due entry at its free slot
+        # idle bookkeeping matches the per-drone truth, and no busy drone
+        # is due before the clock
         for home in range(4):
             truth = [
                 uid for uid in fleet if state.free[uid] == IDLE_FREE and state.home[uid] == home
@@ -269,7 +269,6 @@ def test_fleet_conservation_under_random_moves():
         for uid in fleet:
             if state.free[uid] != IDLE_FREE:
                 assert state.free[uid] >= state.t
-                assert uid in state.due[state.free[uid]]
 
 
 def test_multi_slot_step_matches_single_slot_steps():
@@ -307,9 +306,52 @@ def _multi_slot_twins(cfg, interval):
             want_dispatched += dsp
         assert arrived == want_arrived and dispatched == want_dispatched
         assert state.t == twin.t
-        for name in ("home", "start", "drop", "back", "free", "dest", "idle", "due"):
+        for name in ("home", "start", "drop", "back", "free", "dest", "idle"):
             assert getattr(state, name) == getattr(twin, name), name
         assert [list(q) for q in state.queues] == [list(q) for q in twin.queues]
         assert state.home_counts.tolist() == twin.home_counts.tolist()
         packages += sum(dispatched)
     return packages
+
+
+@pytest.mark.parametrize(
+    "pattern, interval, allocation, needy",
+    [
+        # Markov-modulated centers, trucks every 7 slots
+        ("mmb", 7, [4, 4, 4, 4], [1, 2, 3, 4]),
+        # a light load on a large fleet: drones sit idle before trucks land
+        ("bernoulli", 30, [12, 12, 12, 12], [1, 2, 3, 4]),
+        # PDC 1 holds no drone and is never sent one, so its queue only grows
+        ("tvb", 30, [0, 6, 6, 6], [2, 3, 4]),
+    ],
+)
+def test_step_slot_matches_the_slot_rule(pattern, interval, allocation, needy):
+    cfg = load_experiment_config(pattern)
+
+    def fresh():
+        processes = [ArrivalProcess(**{**a, "truck_interval": interval}) for a in cfg.arrival_args]
+        return init_sim(cfg.district, processes, allocation, np.random.SeedSequence(21))
+
+    state, rule = fresh(), SlotRule(fresh())
+    ref = rule.state
+    rng = np.random.default_rng(22)
+    parked = 0
+    for k in (1, 60, 7, 500, 1, 1300, 60, 2, *rng.integers(1, 90, size=30).tolist()):
+        # signed requests: the needy ask for drones, the rest shed them, and
+        # donors nobody takes park at the port
+        requests = [int(rng.integers(-3, 4)) if pdc in needy else -3 for pdc in range(1, 5)]
+        moves = schedule(state, requests, np.random.default_rng(k))
+        assert schedule(ref, requests, np.random.default_rng(k)) == moves
+        parked += sum(target == 0 for _, target in moves)
+        apply_allocation_moves(state, moves)
+        apply_allocation_moves(ref, moves)
+        assert step_slot(state, k) == rule.step(k)
+        assert state.t == ref.t
+        for name in ("home", "start", "drop", "back", "free", "dest", "idle"):
+            assert getattr(state, name) == getattr(ref, name), name
+        assert [len(q) for q in state.queues] == [len(q) for q in rule.queues]
+        assert state.home_counts.tolist() == ref.home_counts.tolist()
+    assert parked > 0
+    for pdc in range(1, 5):
+        if pdc not in needy:
+            assert state.home_counts[pdc] == 0 and len(state.queues[pdc - 1]) > 0
