@@ -71,12 +71,14 @@ def run_policy(
     horizon = epochs * epoch_slots
     counts = np.empty((horizon, 2, d), dtype=np.int64)
     n_epochs = np.empty((epochs, d), dtype=np.int64)
+    observations = observe(state)
     for epoch in range(epochs):
-        deltas = controller.decide(epoch, observe(state))
+        deltas = controller.decide(epoch, observations)
         window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
         run_epoch(state, deltas, sched_rng, counts[window])
-        # home counts change only between epochs
-        n_epochs[epoch] = state.home_counts[1:]
+        observations = observe(state)
+        # homes change only between epochs
+        n_epochs[epoch] = [n for n, _ in observations]
     return RunTraces(arrivals=counts[:, 0].T, dispatches=counts[:, 1].T, n=n_epochs.T)
 
 

@@ -3,9 +3,11 @@
 Requests are signed deltas: a PDC asking for a < 0 gives up UAVs, a > 0
 wants more. Donors are collected from the deficit PDCs (idle first, then
 returning, then delivering) plus, when the district as a whole is short,
-idle UAVs from the port. Needy PDCs are then served one at a time in random
-order, each taking its nearest donors. Whatever is left over is parked at
-the port; unmet demand is dropped until a later decision epoch.
+idle UAVs from the port. Each drone's phase comes from simcore.by_phase,
+read off its mission slots: idle once the clock has passed its free slot.
+Needy PDCs are then served one at a time in random order, each taking its
+nearest donors. Whatever is left over is parked at the port; unmet demand is
+dropped until a later decision epoch.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geography import Point, distance
-from .simcore import SimState
+from .simcore import SimState, by_phase
 
 IDLE = "idle"
 RETURNING = "returning"
@@ -43,33 +45,23 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
     d = state.district.num_pdcs
     if len(requests) != d:
         raise ValueError("one request per PDC")
+    if not any(requests):
+        return []  # no PDC sheds drones and the district is not short
+    total = sum(requests)
     district = state.district
-    donors: list[DonorEntry] = []
-
-    # phases from the clock: delivering while t <= drop, returning while
-    # drop < t <= back; idle drones sit in state.idle. The busy drones are
-    # sorted by home only once a center owes more than its idle drones.
+    idle, returning, delivering = by_phase(state)
     t = state.t
-    returning: list[list[int]] = []
-    delivering: list[list[int]] = []
     mps = district.meters_per_slot
+    donors: list[DonorEntry] = []
     for pdc in range(1, d + 1):
         need = -requests[pdc - 1]
         if need <= 0:
             continue
         here = district.location_of(pdc)
-        for uid in state.idle[pdc][:need]:
+        for uid in idle[pdc][:need]:
             donors.append(DonorEntry(uav_id=uid, pickup=here, category=IDLE))
-        need -= min(need, len(state.idle[pdc]))
+        need -= min(need, len(idle[pdc]))
         if need > 0:
-            if not returning:
-                returning = [[] for _ in range(d + 1)]
-                delivering = [[] for _ in range(d + 1)]
-                for uid, (home, drop, back) in enumerate(zip(state.home, state.drop, state.back)):
-                    if t <= drop:
-                        delivering[home].append(uid)
-                    elif t <= back:
-                        returning[home].append(uid)
             pool = sorted(returning[pdc], key=lambda u: (-state.drop[u], u))
             for uid in pool[:need]:
                 donors.append(DonorEntry(uav_id=uid, pickup=here, category=RETURNING))
@@ -86,10 +78,9 @@ def form_donor_set(state: SimState, requests: list[int]) -> list[DonorEntry]:
                     )
                 )
 
-    total = sum(requests)
     if total > 0:
         port = district.port_location
-        for uid in state.idle[0][:total]:
+        for uid in idle[0][:total]:
             donors.append(DonorEntry(uav_id=uid, pickup=port, category=IDLE))
     return donors
 

@@ -11,13 +11,14 @@ a slot-by-slot draw takes them from each center's generators: at each
 opportunity the truck and its batch, then the phase chain's steps up to the
 next opportunity; destinations come from their own generator.
 A mission is fixed at dispatch: the package lands at `drop`, the return leg
-ends at `back`, a one-slot battery swap follows and the drone is idle again
-at `free`. Its phase is read off the clock: delivering while t <= drop,
-returning while drop < t <= back, and locked (relocating or swapping) after
-that until `free`. Fleet moves decided by a controller are applied between
-calls via apply_allocation_moves and only rewrite `back` and `free`. A drone
-always belongs to exactly one home (0 is the port, 1..D the PDCs), so
-sum(n_d) == total fleet size at every slot.
+ends at `back`, a one-slot battery swap follows and the drone takes packages
+again from slot `free` on. A drone's home (0 is the port, 1..D the PDCs) and
+its mission slots are its whole state. Between calls its phase is read off
+the clock t, the next slot to run: delivering while t <= drop, returning
+while drop < t <= back, locked (relocating or swapping) after that while
+t <= free, and idle once the clock has passed `free`; a fresh drone has
+free = -1. Fleet moves decided by a controller are applied between calls via
+apply_allocation_moves and only rewrite `back` and `free`.
 
 Within one step_slot call no drone changes home, so each center is a FIFO
 queue with its own servers, and the call runs center by center, package by
@@ -40,15 +41,13 @@ import numpy as np
 from .arrivals import ArrivalProcess
 from .geography import District, Point, distance, sample_destinations, travel_time_slots
 
-IDLE_FREE = -1  # `free` of a drone that is idle
-
 
 @dataclass
 class SimState:
     district: District
     processes: list[ArrivalProcess]
     # per drone, indexed by id: home, dispatch slot, drop slot, end of the
-    # return leg, free slot (IDLE_FREE while idle) and package destination
+    # return leg, free slot (idle once t > free) and package destination
     home: list[int]
     start: list[int]
     drop: list[int]
@@ -56,8 +55,6 @@ class SimState:
     free: list[int]
     dest: list[Point | None]
     queues: list[deque]  # per PDC: the occupancy key of each landed package
-    idle: list[list[int]]  # sorted drone ids per home, index 0 is the port
-    home_counts: np.ndarray
     arrival_rngs: list[np.random.Generator]
     dest_rngs: list[np.random.Generator]
     # per PDC: (slot, occupancy keys) of each batch drawn ahead, in slot
@@ -93,12 +90,6 @@ def init_sim(
         homes.extend([pdc] * count)
     homes.extend([0] * (district.total_uavs - len(homes)))
     n = len(homes)
-
-    idle: list[list[int]] = [[] for _ in range(d + 1)]
-    for uid, home in enumerate(homes):
-        idle[home].append(uid)
-    counts = np.bincount(np.asarray(homes, dtype=np.int64), minlength=d + 1)
-
     children = seed_seq.spawn(2 * d)
     return SimState(
         district=district,
@@ -107,11 +98,9 @@ def init_sim(
         start=[-1] * n,
         drop=[-1] * n,
         back=[-1] * n,
-        free=[IDLE_FREE] * n,
+        free=[-1] * n,
         dest=[None] * n,
         queues=[deque() for _ in range(d)],
-        idle=idle,
-        home_counts=counts,
         arrival_rngs=[np.random.default_rng(children[2 * i]) for i in range(d)],
         dest_rngs=[np.random.default_rng(children[2 * i + 1]) for i in range(d)],
         landing=[deque() for _ in range(d)],
@@ -122,7 +111,22 @@ def init_sim(
 
 def observe(state: SimState) -> list[tuple[int, int]]:
     """(allocated drones, queued packages) per PDC, in PDC order."""
-    return list(zip(state.home_counts[1:].tolist(), map(len, state.queues)))
+    return [(state.home.count(pdc), len(q)) for pdc, q in enumerate(state.queues, start=1)]
+
+
+def by_phase(state: SimState) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Idle, returning and delivering drone ids per home (index 0 is the
+    port), in id order, at the state's clock."""
+    t, home = state.t, state.home
+    idle, returning, delivering = ([[] for _ in range(len(state.queues) + 1)] for _ in range(3))
+    for uid, h, drop, back, free in zip(range(len(home)), home, state.drop, state.back, state.free):
+        if free < t:
+            idle[h].append(uid)
+        elif t <= drop:
+            delivering[h].append(uid)
+        elif t <= back:
+            returning[h].append(uid)
+    return idle, returning, delivering
 
 
 # Look-ahead bound, in slots: the first block covers what the first step
@@ -182,14 +186,13 @@ def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
         _draw_ahead(state, max(stop, state.drawn + state.block), bits)
 
     mask = (1 << bits) - 1
-    limit = stop << bits
+    d = len(state.queues)
     # idle drones, and drones freeing at t0, are keyed at t0
-    heaps: list[list[int]] = [[] for _ in state.idle]
+    heaps: list[list[int]] = [[] for _ in range(d + 1)]
     for uid, h, f in zip(range(len(home)), home, free):
         heaps[h].append((f if f > t0 else t0) << bits | uid)
 
     start, drop, back, dest = state.start, state.drop, state.back, state.dest
-    d = len(state.queues)
     arrived = [0] * (slots * d)
     dispatched = [0] * (slots * d)
     centers = zip(heaps[1:], state.queues, state.landing, state.xs, state.ys)
@@ -236,12 +239,6 @@ def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
                 dest[uid] = xs[j], ys[j]
         del xs[: len(sent)], ys[: len(sent)]
 
-    idle: list[list[int]] = [[] for _ in heaps]
-    for uid, (h, f) in enumerate(zip(home, free)):
-        if f < stop:
-            free[uid] = IDLE_FREE
-            idle[h].append(uid)
-    state.idle = idle
     state.t = stop
     return arrived, dispatched
 
@@ -264,8 +261,7 @@ def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> Non
         if not 0 <= target <= district.num_pdcs:
             raise ValueError(f"unknown home index {target}")
         old_home = state.home[uid]
-        if state.free[uid] == IDLE_FREE:
-            state.idle[old_home].remove(uid)
+        if state.free[uid] < t:
             leg = distance(district.location_of(old_home), district.location_of(target))
             state.free[uid] = t + travel_time_slots(leg, speed)
         elif t <= state.drop[uid]:
@@ -279,5 +275,3 @@ def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> Non
         else:
             raise ValueError(f"UAV {uid} is not movable while relocating or swapping")
         state.home[uid] = target
-        state.home_counts[old_home] -= 1
-        state.home_counts[target] += 1

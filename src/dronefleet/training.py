@@ -123,7 +123,6 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
         reward_total = 0.0
         over_ge = 0
         steps = 0
-        eps = epsilon_at(global_step, cfg)
         n, q = zip(*observe(state))
         encoded = encode_state(n, q)
 

@@ -14,7 +14,7 @@ from dronefleet.arrivals import ArrivalProcess
 from dronefleet.geography import sample_destinations
 from dronefleet.network import forward
 from dronefleet.rlagent import COUNT_BITS, QUEUE_BITS, STATE_SIZE
-from dronefleet.simcore import IDLE_FREE, SimState
+from dronefleet.simcore import SimState
 
 
 def idle(home):
@@ -36,7 +36,7 @@ def locked(home, free, t):
 
 def phase(state, uid):
     """Phase of one drone read off its raw lists at the state's clock."""
-    if state.free[uid] == IDLE_FREE:
+    if state.free[uid] < state.t:
         return "idle"
     if state.t <= state.drop[uid]:
         return "delivering"
@@ -49,12 +49,6 @@ def build_state(district, drones, t=0):
     """Assemble a consistent SimState around hand-made drones, one dict per
     id in order (see idle, delivering, returning and locked)."""
     d = district.num_pdcs
-    idle_ids = [[] for _ in range(d + 1)]
-    counts = np.zeros(d + 1, dtype=np.int64)
-    for uid, drone in enumerate(drones):
-        counts[drone["home"]] += 1
-        if "free" not in drone:
-            idle_ids[drone["home"]].append(uid)
     procs = [
         ArrivalProcess(truck_interval=30, batch_mean=1, batch_half_width=0, p_high=0.0)
         for _ in range(d)
@@ -66,11 +60,9 @@ def build_state(district, drones, t=0):
         start=[drone.get("start", -1) for drone in drones],
         drop=[drone.get("drop", -1) for drone in drones],
         back=[drone.get("back", -1) for drone in drones],
-        free=[drone.get("free", IDLE_FREE) for drone in drones],
+        free=[drone.get("free", -1) for drone in drones],
         dest=[drone.get("dest") for drone in drones],
         queues=[deque() for _ in range(d)],
-        idle=idle_ids,
-        home_counts=counts,
         arrival_rngs=[np.random.default_rng(i) for i in range(d)],
         dest_rngs=[np.random.default_rng(100 + i) for i in range(d)],
         landing=[deque() for _ in range(d)],
@@ -88,9 +80,10 @@ class SlotRule:
     Each slot: every drone whose free slot is due turns idle; each center's
     truck, if one comes, lands its batch at the back of the center's queue;
     then at each center the lowest idle ids take the oldest packages, one
-    each. Arrivals are drawn slot by slot from the state's own generators,
-    one destination draw per batch. Only the per-drone lists, the idle
-    lists and the clock of the state are used; the queues live here.
+    each. Between calls a drone is idle once the clock has passed its free
+    slot. Arrivals are drawn slot by slot from the state's own generators,
+    one destination draw per batch. Only the per-drone lists and the clock
+    of the state are used; the idle lists and the queues live here.
     """
 
     def __init__(self, state):
@@ -103,11 +96,14 @@ class SlotRule:
         district = s.district
         lanes = list(zip(s.processes, s.arrival_rngs, s.dest_rngs, district.regions))
         arrived, dispatched = [], []
+        idle = [[] for _ in range(district.num_pdcs + 1)]  # sorted ids per home
+        for uid in range(len(s.home)):
+            if s.free[uid] < s.t:
+                idle[s.home[uid]].append(uid)
         for t in range(s.t, s.t + slots):
             for uid in range(len(s.home)):
                 if s.free[uid] == t:
-                    s.free[uid] = IDLE_FREE
-                    s.idle[s.home[uid]] = sorted(s.idle[s.home[uid]] + [uid])
+                    idle[s.home[uid]] = sorted(idle[s.home[uid]] + [uid])
 
             for (proc, arng, drng, region), queue in zip(lanes, self.queues):
                 size = proc.draw_batch(t, arng)
@@ -124,8 +120,8 @@ class SlotRule:
 
             for pdc, queue in enumerate(self.queues, start=1):
                 sent = 0
-                while queue and s.idle[pdc]:
-                    uid = s.idle[pdc].pop(0)
+                while queue and idle[pdc]:
+                    uid = idle[pdc].pop(0)
                     trip, dest = queue.popleft()
                     s.start[uid] = t
                     s.drop[uid] = t + max(trip, 1)  # a delivery takes at least one slot

@@ -222,7 +222,7 @@ def test_run_epoch_counts_and_static_moves():
     assert state.t == 30
     # queue balance within the epoch
     assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
-    assert list(state.home_counts) == [1, 3, 2]
+    assert np.bincount(state.home).tolist() == [1, 3, 2]
 
 
 def test_run_epoch_matches_a_slot_by_slot_twin():
@@ -285,7 +285,7 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
         counts = np.empty((cfg.reward.epoch_slots, 2, d), dtype=np.int64)
         run_epoch(state, ctrl.decide(epoch, observe(state)), rng, counts)
         assert len(state.home) == fleet
-        assert int(state.home_counts.sum()) == fleet
+        assert sum(n for n, _ in observe(state)) + state.home.count(0) == fleet
 
 
 @pytest.mark.parametrize("controller", ["threshold", "ql"])
@@ -325,7 +325,7 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
                     born = waiting[i].popleft()
                     waits[i].append([born, t - born])
             q.append([len(queue) for queue in state.queues])
-            n.append(state.home_counts[1:].tolist())
+            n.append([count for count, _ in observe(state)])
     assert np.array_equal(traces.arrivals, np.array(arrivals).T)
     assert np.array_equal(traces.dispatches, np.array(dispatches).T)
     assert np.array_equal(np.repeat(traces.n, epoch_slots, axis=1), np.array(n).T)

@@ -3,7 +3,7 @@ import pytest
 
 from dronefleet.geography import District, Region, SubRegion, builtin_district
 from dronefleet.scheduler import form_donor_set, schedule
-from dronefleet.simcore import apply_allocation_moves
+from dronefleet.simcore import apply_allocation_moves, observe
 
 from oracles import (
     build_state,
@@ -141,7 +141,7 @@ def test_schedule_output_is_applicable():
     rng = np.random.default_rng(77)
     for _ in range(100):
         state, requests = random_fleet_instance(district, rng)
-        before = int(state.home_counts.sum())
+        before = len(state.home)
         moves = schedule(state, requests, np.random.default_rng(int(rng.integers(1 << 30))))
         apply_allocation_moves(state, moves)
-        assert int(state.home_counts.sum()) == before
+        assert sum(n for n, _ in observe(state)) + state.home.count(0) == before

@@ -4,16 +4,16 @@ import pytest
 from dronefleet.arrivals import ArrivalProcess
 from dronefleet.configs import load_experiment_config
 from dronefleet.geography import District, Region, SubRegion
-from dronefleet.scheduler import schedule
+from dronefleet.scheduler import form_donor_set, schedule
 from dronefleet.simcore import (
-    IDLE_FREE,
     apply_allocation_moves,
+    by_phase,
     init_sim,
     observe,
     step_slot,
 )
 
-from oracles import SlotRule, phase
+from oracles import SlotRule, build_state, locked, phase
 
 
 def point_region(pdc_xy, dest_xy):
@@ -60,8 +60,8 @@ def test_initial_layout_and_observe():
     )
     state = init_sim(district, [quiet_process(), quiet_process()], [2, 1], np.random.SeedSequence(1))
     # ids are dealt in blocks: PDC1 gets 0..1, PDC2 gets 2, the port the rest
-    assert state.idle == [[3, 4], [0, 1], [2]]
-    assert list(state.home_counts) == [2, 2, 1]
+    assert by_phase(state) == ([[3, 4], [0, 1], [2]], [[]] * 3, [[]] * 3)
+    assert state.home == [1, 1, 2, 0, 0]
     assert observe(state) == [(2, 0), (1, 0)]
 
 
@@ -73,7 +73,7 @@ def test_delivery_lifecycle_timing():
     step_slot(state)  # t=0: arrival and dispatch
     assert (state.start[0], state.drop[0], state.back[0], state.free[0]) == (0, 3, 6, 7)
     assert state.dest[0] == (900.0, 0.0)
-    assert state.idle == [[], []]  # busy until its free slot
+    assert by_phase(state)[0] == [[], []]  # busy until its free slot
     assert observe(state) == [(1, 0)]
 
     phases = []
@@ -81,8 +81,8 @@ def test_delivery_lifecycle_timing():
         phases.append(phase(state, 0))
         step_slot(state)
     assert phases == ["delivering"] * 3 + ["returning"] * 3 + ["locked"]
-    assert state.free[0] == IDLE_FREE
-    assert state.idle[1] == [0]
+    assert state.free[0] == 7 < state.t  # idle once the clock passed it
+    assert by_phase(state)[0][1] == [0]
 
 
 def test_delivery_takes_at_least_one_slot():
@@ -128,26 +128,26 @@ def test_idle_move_relocates_without_swap():
     state = init_sim(district, [quiet_process(), quiet_process()], [2, 0], np.random.SeedSequence(5))
     apply_allocation_moves(state, [(0, 2)])
     assert phase(state, 0) == "locked"  # relocating
-    assert list(state.home_counts) == [0, 1, 1]  # ownership moves immediately
-    assert state.idle[1] == [1]
+    assert state.home == [2, 1]  # ownership moves immediately
+    assert by_phase(state)[0] == [[], [1], []]
     assert state.free[0] == 2  # 600 m at 300 m per slot
     step_slot(state)  # t=0
     step_slot(state)  # t=1
     assert phase(state, 0) == "locked"
     step_slot(state)  # t=2: arrival resolves, no swap for an idle move
     assert phase(state, 0) == "idle"
-    assert state.idle[2] == [0]
+    assert by_phase(state)[0][2] == [0]
 
 
 def test_idle_move_to_port():
     district = make_district([point_region((0.0, 0.0), (900.0, 0.0))], total_uavs=1)
     state = init_sim(district, [quiet_process()], [1], np.random.SeedSequence(6))
     apply_allocation_moves(state, [(0, 0)])
-    assert list(state.home_counts) == [1, 0]
+    assert state.home == [0]
     step_slot(state)  # t=0: still in flight, 300 m leg lands at t=1
     step_slot(state)  # t=1: arrival resolves
     assert phase(state, 0) == "idle"
-    assert state.idle[0] == [0]
+    assert by_phase(state)[0][0] == [0]
 
 
 def test_returning_move_is_diverted_with_swap():
@@ -166,13 +166,13 @@ def test_returning_move_is_diverted_with_swap():
     assert phase(state, 0) == "locked"  # relocating
     assert state.back[0] == state.drop[0] == 3
     assert state.free[0] == 4 + 5 + 1  # PDC1 to PDC2 is 1500 m, then a swap
-    assert list(state.home_counts) == [0, 0, 2]
+    assert state.home == [2, 2]
     for _ in range(6):  # t=4..9
         step_slot(state)
     assert phase(state, 0) == "locked"  # swapping
     step_slot(state)  # t=10
     assert phase(state, 0) == "idle"
-    assert state.idle[2] == [0, 1]
+    assert by_phase(state)[0][2] == [0, 1]
 
 
 def test_delivering_move_retargets_after_drop():
@@ -191,7 +191,7 @@ def test_delivering_move_retargets_after_drop():
     # a second move before the drop replaces the first one's leg
     apply_allocation_moves(state, [(0, 2)])
     assert phase(state, 0) == "delivering"  # finishes the drop first
-    assert list(state.home_counts) == [0, 0, 2, 1]
+    assert state.home == [2, 2, 3]
     assert state.back[0] == state.drop[0] == 3
     assert state.free[0] == 3 + 2 + 1  # 600 m from the drop point to PDC2, then a swap
 
@@ -204,7 +204,7 @@ def test_delivering_move_retargets_after_drop():
     step_slot(state)  # t=6
     assert phase(state, 0) == "idle"
     assert state.home[0] == 2
-    assert state.idle[2] == [0, 1]
+    assert by_phase(state)[0][2] == [0, 1]
 
 
 def test_unmovable_states_rejected():
@@ -232,6 +232,30 @@ def test_swapping_drone_rejected():
         apply_allocation_moves(state, [(0, 0)])
 
 
+def test_idle_is_read_off_the_clock():
+    # at t=4, three drones of PDC1: one back from a 300 m delivery and free
+    # since slot 3, one swapping until slot 4, one relocating until slot 6
+    district = make_district(
+        [point_region((0.0, 0.0), (900.0, 0.0)), point_region((600.0, 0.0), (600.0, 300.0))],
+        total_uavs=3,
+    )
+    t = 4
+    drones = [
+        {"home": 1, "start": 0, "drop": 1, "back": 2, "free": t - 1, "dest": (300.0, 0.0)},
+        locked(1, free=t, t=t),
+        locked(1, free=t + 2, t=t),
+    ]
+    state = build_state(district, drones, t=t)
+    assert [phase(state, uid) for uid in range(3)] == ["idle", "locked", "locked"]
+    assert [entry.uav_id for entry in form_donor_set(state, [-3, 3])] == [0]
+    apply_allocation_moves(state, [(0, 2)])
+    assert state.home[0] == 2
+    assert state.free[0] == t + 2  # 600 m at 300 m per slot, no swap
+    for uid in (1, 2):
+        with pytest.raises(ValueError):
+            apply_allocation_moves(state, [(uid, 2)])
+
+
 def test_fleet_conservation_under_random_moves():
     district = make_district(
         [
@@ -256,19 +280,22 @@ def test_fleet_conservation_under_random_moves():
             if candidates:
                 uid = int(rng.choice(candidates))
                 apply_allocation_moves(state, [(uid, int(rng.integers(0, 4)))])
-        recount = np.bincount(state.home, minlength=4)
-        assert list(recount) == list(state.home_counts)
-        assert int(state.home_counts.sum()) == 9
-        # idle bookkeeping matches the per-drone truth, and no busy drone
-        # is due before the clock
-        for home in range(4):
-            truth = [
-                uid for uid in fleet if state.free[uid] == IDLE_FREE and state.home[uid] == home
-            ]
-            assert state.idle[home] == truth
+        assert sum(n for n, _ in observe(state)) + state.home.count(0) == 9
+        # each drone is idle or on a mission whose slots are in order (back
+        # == drop after a diversion) and started before the clock
         for uid in fleet:
-            if state.free[uid] != IDLE_FREE:
-                assert state.free[uid] >= state.t
+            assert state.start[uid] < state.t
+            if phase(state, uid) != "idle":
+                assert state.start[uid] <= state.drop[uid] <= state.back[uid] < state.free[uid]
+        want = [[[] for _ in range(4)] for _ in range(3)]
+        for uid in fleet:
+            if phase(state, uid) in movable:
+                want[movable.index(phase(state, uid))][state.home[uid]].append(uid)
+        assert list(by_phase(state)) == want
+        # nothing is due before the clock: a drone freed before it has taken
+        # a package if its PDC had one waiting
+        for pdc, queue in enumerate(state.queues, start=1):
+            assert not (queue and want[0][pdc])
 
 
 def test_multi_slot_step_matches_single_slot_steps():
@@ -306,10 +333,10 @@ def _multi_slot_twins(cfg, interval):
             want_dispatched += dsp
         assert arrived == want_arrived and dispatched == want_dispatched
         assert state.t == twin.t
-        for name in ("home", "start", "drop", "back", "free", "dest", "idle"):
+        for name in ("home", "start", "drop", "back", "free", "dest"):
             assert getattr(state, name) == getattr(twin, name), name
         assert [list(q) for q in state.queues] == [list(q) for q in twin.queues]
-        assert state.home_counts.tolist() == twin.home_counts.tolist()
+        assert observe(state) == observe(twin)
         packages += sum(dispatched)
     return packages
 
@@ -347,11 +374,11 @@ def test_step_slot_matches_the_slot_rule(pattern, interval, allocation, needy):
         apply_allocation_moves(ref, moves)
         assert step_slot(state, k) == rule.step(k)
         assert state.t == ref.t
-        for name in ("home", "start", "drop", "back", "free", "dest", "idle"):
+        for name in ("home", "start", "drop", "back", "free", "dest"):
             assert getattr(state, name) == getattr(ref, name), name
         assert [len(q) for q in state.queues] == [len(q) for q in rule.queues]
-        assert state.home_counts.tolist() == ref.home_counts.tolist()
+        assert [n for n, _ in observe(state)] == [n for n, _ in observe(ref)]
     assert parked > 0
-    for pdc in range(1, 5):
+    for pdc, (n, q) in enumerate(observe(state), start=1):
         if pdc not in needy:
-            assert state.home_counts[pdc] == 0 and len(state.queues[pdc - 1]) > 0
+            assert n == 0 and q > 0
