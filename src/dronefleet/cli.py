@@ -15,8 +15,8 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 from .configs import (
     BUILTIN_SCENARIOS,
@@ -32,26 +32,24 @@ from .training import train
 
 logger = logging.getLogger(__name__)
 
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
-def _config(args, ref: str, total_uavs: int | None = None) -> ExperimentConfig:
+
+def _config(args, ref: str, total_uavs: int | None) -> ExperimentConfig:
     """The config `ref` with the command line's values in place of its own:
     --horizon, --seed(s) (else the first seed, for a command that runs one),
-    and a fleet of `total_uavs` or --n-uavs drones, split statically.
-    configs checks them by its own rules."""
+    and a fleet of `total_uavs` drones, split statically. configs checks
+    them by its own rules."""
     overrides = {}
     if getattr(args, "horizon", None) is not None:
         overrides["horizon_slots"] = args.horizon
-    seed = getattr(args, "seed", None)
-    seeds = [seed] if seed is not None else getattr(args, "seeds", None)
-    if seeds is not None:
-        overrides["seeds"] = seeds
-    if total_uavs is None:
-        total_uavs = getattr(args, "n_uavs", None)
+    if args.seeds is not None:
+        overrides["seeds"] = args.seeds
     if total_uavs is not None:
         overrides.update(total_uavs=total_uavs, initial_allocation="static")
     cfg = load_experiment_config(ref, **overrides)
-    if hasattr(args, "seed") and seed is None:  # eval, sweep or compare
-        return load_experiment_config(ref, **overrides, seeds=cfg.seeds[:1])
+    if args.command != "train":  # eval, sweep and compare run one seed
+        cfg = replace(cfg, seeds=cfg.seeds[:1], raw={**cfg.raw, "seeds": cfg.seeds[:1]})
     return cfg
 
 
@@ -105,9 +103,38 @@ def _check_echo(echo, cfg: ExperimentConfig, pdc: int, path: str) -> None:
             )
 
 
-def _train_one_seed(job):
-    cfg, seed = job
-    return seed, train(cfg, cfg.train, seed)
+def run_cells(cells: list) -> list:
+    """Call each cell, a picklable callable that carries its own config and
+    seed, and return the results in cell order: in this process for one cell
+    or one usable core, else in spawned workers, up to one per usable core."""
+    affinity = getattr(os, "sched_getaffinity", None)  # the cores `taskset` allows
+    workers = min(len(cells), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers < 2:
+        return [cell() for cell in cells]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawn, not fork: a forked child can inherit a BLAS thread pool mid-use
+    context = multiprocessing.get_context("spawn")
+    log = partial(logging.basicConfig, level=logging.getLogger().level, format=LOG_FORMAT)
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=log) as pool:
+        return [future.result() for future in [pool.submit(cell) for cell in cells]]
+
+
+def _run_report(cfg: ExperimentConfig, nets, trace_path=None):
+    traces = run_policy(
+        cfg.district,
+        cfg.make_processes(),
+        cfg.build_controller(nets),
+        cfg.initial_allocation_counts(),
+        cfg.reward.epoch_slots,
+        cfg.horizon_slots,
+        cfg.seeds[0],
+    )
+    report = summarize(traces, cfg.queue_bounds, cfg.warmup_slots)
+    if trace_path is not None:
+        write_trace(trace_path, traces)
+    return report
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -126,27 +153,16 @@ CURVE_COLUMNS = ["episode", "steps", "avg_reward", "violation_window", "epsilon"
 
 
 def cmd_train(args) -> int:
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
-    cfg = _config(args, args.config)
+    cfg = _config(args, args.config, args.n_uavs)
     out = _output_dir(args, {"resolved_config.json": cfg})
     curves_dir = os.path.join(out, "curves")
-    ckpt_dir = os.path.join(out, "checkpoints")
     os.makedirs(curves_dir, exist_ok=True)
-    os.makedirs(ckpt_dir, exist_ok=True)
 
-    jobs = [(cfg, seed) for seed in cfg.seeds]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_train_one_seed, jobs))
-    else:
-        results = [_train_one_seed(job) for job in jobs]
-
-    all_curves = []
-    for seed, result in results:
+    results = run_cells([partial(train, cfg, cfg.train, seed) for seed in cfg.seeds])
+    for seed, result in zip(cfg.seeds, results):
         curve = [[repr(row[key]) for key in CURVE_COLUMNS] for row in result.curve]
         _write_csv(os.path.join(curves_dir, f"seed{seed}.csv"), CURVE_COLUMNS, curve)
-        seed_dir = os.path.join(ckpt_dir, f"seed{seed}")
+        seed_dir = os.path.join(out, "checkpoints", f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         for pdc, net in enumerate(result.nets, start=1):
             save_checkpoint(
@@ -155,8 +171,8 @@ def cmd_train(args) -> int:
                 result.train_steps,
                 cfg.checkpoint_echo(seed, pdc),
             )
-        all_curves.append(result.curve)
 
+    all_curves = [result.curve for result in results]
     k = len(all_curves)
     summary = []
     for ep in range(min(len(c) for c in all_curves)):
@@ -177,28 +193,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _run_report(cfg: ExperimentConfig, controller, seed: int, trace_path=None):
-    traces = run_policy(
-        cfg.district,
-        cfg.make_processes(),
-        controller,
-        cfg.initial_allocation_counts(),
-        cfg.reward.epoch_slots,
-        cfg.horizon_slots,
-        seed,
-    )
-    report = summarize(traces, cfg.queue_bounds, cfg.warmup_slots)
-    if trace_path is not None:
-        write_trace(trace_path, traces)
-    return report
-
-
 def cmd_eval(args) -> int:
-    cfg = _config(args, args.config)
+    cfg = _config(args, args.config, args.n_uavs)
     nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
     out = _output_dir(args, {"resolved_config.json": cfg})
     trace_path = os.path.join(out, "trace.csv") if args.trace else None
-    report = _run_report(cfg, cfg.build_controller(nets), cfg.seeds[0], trace_path)
+    [report] = run_cells([partial(_run_report, cfg, nets, trace_path)])
 
     _write_json(os.path.join(out, "report.json"), report.to_dict())
     row = csv_row(cfg.controller, cfg.arrival["type"], report)
@@ -211,16 +211,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args, args.config)
-    cells = [_config(args, args.config, total) for total in args.fleet_sizes]
+    cfgs = [_config(args, args.config, total) for total in args.fleet_sizes]
+    cfg = cfgs[0]  # the fleet size is all they differ in
     nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
     out = _output_dir(
-        args, {f"resolved_n{total}.json": run_cfg for total, run_cfg in zip(args.fleet_sizes, cells)}
+        args, {f"resolved_n{total}.json": run_cfg for total, run_cfg in zip(args.fleet_sizes, cfgs)}
     )
     d = cfg.district.num_pdcs
+    reports = run_cells([partial(_run_report, run_cfg, nets) for run_cfg in cfgs])
     rows = []
-    for total, run_cfg in zip(args.fleet_sizes, cells):
-        report = _run_report(run_cfg, run_cfg.build_controller(nets), cfg.seeds[0])
+    for total, report in zip(args.fleet_sizes, reports):
         rows.append([total, *map(repr, [report.p_max, report.n_mean, *report.violation])])
         logger.info("N=%d p_max=%.4f n_mean=%.1f", total, report.p_max, report.n_mean)
 
@@ -234,22 +234,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfgs = [(pattern, _config(args, pattern)) for pattern in args.patterns]
+    cfgs = [(pattern, _config(args, pattern, None)) for pattern in args.patterns]
     rl = "rl" in args.algorithms
     nets = [_checkpoints(args, cfg, pattern) if rl else None for pattern, cfg in cfgs]
     out = _output_dir(args, {f"resolved_{pattern}.json": cfg for pattern, cfg in cfgs})
     reports_dir = os.path.join(out, "reports")
     os.makedirs(reports_dir, exist_ok=True)
-    rows = []
+    cells, rows = [], []
     for (pattern, cfg), pattern_nets in zip(cfgs, nets):
         for algorithm in args.algorithms:
-            controller = replace(cfg, controller=algorithm).build_controller(pattern_nets)
-            report = _run_report(cfg, controller, cfg.seeds[0])
-            rows.append((algorithm, pattern, report))
-            _write_json(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), report.to_dict())
-            logger.info("%s/%s p_max=%.4f", algorithm, pattern, report.p_max)
+            cells.append(partial(_run_report, replace(cfg, controller=algorithm), pattern_nets))
+            rows.append((algorithm, pattern))
+    reports = run_cells(cells)
+    for (algorithm, pattern), report in zip(rows, reports):
+        _write_json(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), report.to_dict())
+        logger.info("%s/%s p_max=%.4f", algorithm, pattern, report.p_max)
 
-    _write_csv(os.path.join(out, "compare.csv"), CSV_COLUMNS, (csv_row(*row) for row in rows))
+    table = (csv_row(*row, report) for row, report in zip(rows, reports))
+    _write_csv(os.path.join(out, "compare.csv"), CSV_COLUMNS, table)
     print(f"compared {len(rows)} cells; table under {out}")
     return 0
 
@@ -258,7 +260,7 @@ def _add_run_flags(p, checkpoints_help: str) -> None:
     """The flags eval, sweep and compare share."""
     p.add_argument("--checkpoints", help=checkpoints_help)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="seeds", type=int, nargs=1)
     p.add_argument("--horizon", type=int, help="override horizon in slots")
 
 
@@ -277,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--seeds", type=int, nargs="+", help="override config seeds")
     p.add_argument("--n-uavs", type=int, help="override fleet size")
-    p.add_argument("--workers", type=int, default=1, help="parallel seed workers")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one controller over a long horizon")
@@ -314,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING, format=LOG_FORMAT)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -17,8 +17,10 @@ from dronefleet.rlagent import COUNT_BITS, QUEUE_BITS, STATE_SIZE
 from dronefleet.simcore import SimState
 
 
-def idle(home):
-    return {"home": home}
+def idle(home, free=-1):
+    """Idle since slot `free`: -1 for a drone that has not moved yet, or the
+    slot a mission or a relocation ended, before the state's clock."""
+    return {"home": home, "free": free}
 
 
 def delivering(home, dest, drop, start):
@@ -236,7 +238,9 @@ def random_fleet_instance(district, rng, max_uavs=14):
         home = int(rng.integers(0, d + 1))
         kind = rng.random()
         if home == 0 or kind < 0.4:
-            drones.append(idle(home))
+            # half the idle PDC drones have flown or relocated before t
+            flown = home != 0 and kind < 0.2 and t > 0
+            drones.append(idle(home, int(rng.integers(0, t)) if flown else -1))
         elif kind < 0.6:
             drones.append(
                 returning(home, drop=int(rng.integers(-1, t)), back=t + int(rng.integers(0, 20)))

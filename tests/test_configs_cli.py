@@ -456,8 +456,6 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["compare", "--patterns", "bernoulli", "--algorithms", "static", "--horizon", "0"],
         ["train", "--config", config, "--seeds", "1", "-2"],
         ["train", "--config", config, "--seeds", "1", "1"],
-        ["train", "--config", config, "--workers", "0"],
-        ["train", "--config", config, "--workers", "-3"],
     ]
     for argv in bad_overrides:
         out = tmp_path / "bad_override"
