@@ -33,6 +33,9 @@ from .training import train
 logger = logging.getLogger(__name__)
 
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
+# a spawned worker imports numpy and the package before its first cell; on two
+# cores the pool broke even at 200k-250k slots of sweep or compare cells
+POOL_MIN_SLOTS = 300_000
 
 
 def _config(args, ref: str, total_uavs: int | None) -> ExperimentConfig:
@@ -103,13 +106,14 @@ def _check_echo(echo, cfg: ExperimentConfig, pdc: int, path: str) -> None:
             )
 
 
-def run_cells(cells: list) -> list:
+def run_cells(cells: list, slots: int) -> list:
     """Call each cell, a picklable callable that carries its own config and
-    seed, and return the results in cell order: in this process for one cell
-    or one usable core, else in spawned workers, up to one per usable core."""
+    seed, and return the results in cell order: in this process for one cell,
+    one usable core or fewer than POOL_MIN_SLOTS `slots` simulated in all,
+    else in spawned workers, up to one per usable core."""
     affinity = getattr(os, "sched_getaffinity", None)  # the cores `taskset` allows
     workers = min(len(cells), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if workers < 2:
+    if workers < 2 or slots < POOL_MIN_SLOTS:
         return [cell() for cell in cells]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -158,19 +162,17 @@ def cmd_train(args) -> int:
     curves_dir = os.path.join(out, "curves")
     os.makedirs(curves_dir, exist_ok=True)
 
-    results = run_cells([partial(train, cfg, cfg.train, seed) for seed in cfg.seeds])
+    cells = [partial(train, cfg, cfg.train, seed) for seed in cfg.seeds]
+    epochs = cfg.train.episodes * cfg.train.max_steps_per_episode
+    results = run_cells(cells, len(cells) * epochs * cfg.reward.epoch_slots)
     for seed, result in zip(cfg.seeds, results):
         curve = [[repr(row[key]) for key in CURVE_COLUMNS] for row in result.curve]
         _write_csv(os.path.join(curves_dir, f"seed{seed}.csv"), CURVE_COLUMNS, curve)
         seed_dir = os.path.join(out, "checkpoints", f"seed{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         for pdc, net in enumerate(result.nets, start=1):
-            save_checkpoint(
-                os.path.join(seed_dir, f"agent_pdc{pdc}.json"),
-                net,
-                result.train_steps,
-                cfg.checkpoint_echo(seed, pdc),
-            )
+            path = os.path.join(seed_dir, f"agent_pdc{pdc}.json")
+            save_checkpoint(path, net, result.train_steps, cfg.checkpoint_echo(seed, pdc))
 
     all_curves = [result.curve for result in results]
     k = len(all_curves)
@@ -183,11 +185,8 @@ def cmd_train(args) -> int:
             spread = math.sqrt(sum((v - mean) ** 2 for v in values) / k)
             row += [repr(mean), repr(spread / math.sqrt(k) if k > 1 else 0.0)]
         summary.append(row)
-    _write_csv(
-        os.path.join(curves_dir, "summary.csv"),
-        ["episode", "mean_reward", "stderr_reward", "mean_violation", "stderr_violation"],
-        summary,
-    )
+    header = ["episode", "mean_reward", "stderr_reward", "mean_violation", "stderr_violation"]
+    _write_csv(os.path.join(curves_dir, "summary.csv"), header, summary)
 
     print(f"trained seeds {cfg.seeds}; checkpoints and curves under {out}")
     return 0
@@ -198,7 +197,7 @@ def cmd_eval(args) -> int:
     nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
     out = _output_dir(args, {"resolved_config.json": cfg})
     trace_path = os.path.join(out, "trace.csv") if args.trace else None
-    [report] = run_cells([partial(_run_report, cfg, nets, trace_path)])
+    report = _run_report(cfg, nets, trace_path)
 
     _write_json(os.path.join(out, "report.json"), report.to_dict())
     row = csv_row(cfg.controller, cfg.arrival["type"], report)
@@ -218,7 +217,8 @@ def cmd_sweep(args) -> int:
         args, {f"resolved_n{total}.json": run_cfg for total, run_cfg in zip(args.fleet_sizes, cfgs)}
     )
     d = cfg.district.num_pdcs
-    reports = run_cells([partial(_run_report, run_cfg, nets) for run_cfg in cfgs])
+    cells = [partial(_run_report, run_cfg, nets) for run_cfg in cfgs]
+    reports = run_cells(cells, len(cells) * cfg.horizon_slots)
     rows = []
     for total, report in zip(args.fleet_sizes, reports):
         rows.append([total, *map(repr, [report.p_max, report.n_mean, *report.violation])])
@@ -245,7 +245,7 @@ def cmd_compare(args) -> int:
         for algorithm in args.algorithms:
             cells.append(partial(_run_report, replace(cfg, controller=algorithm), pattern_nets))
             rows.append((algorithm, pattern))
-    reports = run_cells(cells)
+    reports = run_cells(cells, len(args.algorithms) * sum(c.horizon_slots for _, c in cfgs))
     for (algorithm, pattern), report in zip(rows, reports):
         _write_json(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), report.to_dict())
         logger.info("%s/%s p_max=%.4f", algorithm, pattern, report.p_max)

@@ -8,17 +8,17 @@ wall clock.
 """
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 import dronefleet
 from dronefleet.arrivals import ArrivalProcess
+from dronefleet.cli import run_cells
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController, ThresholdController
 from dronefleet.geography import builtin_district
@@ -397,18 +397,12 @@ def _train_and_evaluate(seed: int):
 def test_criterion_6_training_reproduction(capsys):
     t0 = time.perf_counter()
     seeds = (1, 2, 3)
-    workers = min(len(seeds), os.cpu_count() or 1)
-    # spawn, not fork: a forked child can inherit a BLAS thread pool mid-use
-    context = multiprocessing.get_context("spawn")
-    rows = []
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        for seed, rep in pool.map(_train_and_evaluate, seeds):
-            rows.append((seed, rep))
-            with capsys.disabled():
-                print(
-                    f"\n  seed {seed}: viol_max {rep.p_max:.4f} n_mean {rep.n_mean:.2f}",
-                    flush=True,
-                )
+    # per seed: 250 episodes of 400 epochs of 60 slots, then 20,000 slots of evaluation
+    slots = len(seeds) * (250 * 400 * 60 + 20_000)
+    rows = run_cells([partial(_train_and_evaluate, seed) for seed in seeds], slots)
+    for seed, rep in rows:
+        with capsys.disabled():
+            print(f"\n  seed {seed}: viol_max {rep.p_max:.4f} n_mean {rep.n_mean:.2f}", flush=True)
     qualifying = [
         (seed, rep) for seed, rep in rows if max(rep.violation) <= 0.15 and rep.n_mean < 60.0
     ]
@@ -421,5 +415,5 @@ def test_criterion_6_training_reproduction(capsys):
         ok,
         f"best seed {best[0]}: violations {[round(v, 4) for v in best[1].violation]} "
         f"(all <= 0.15), fleet mean {best[1].n_mean:.2f} < 60 static; "
-        f"{len(qualifying)}/3 seed groups qualify ({dt / 60:.1f} min, {workers} processes)",
+        f"{len(qualifying)}/3 seed groups qualify ({dt / 60:.1f} min)",
     )

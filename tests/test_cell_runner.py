@@ -1,5 +1,6 @@
-"""The cell runner: cells run in this process on one usable core and in
-spawned workers on more, and a command writes the same bytes either way."""
+"""The cell runner: cells run in this process on one usable core or below
+POOL_MIN_SLOTS simulated slots, and in spawned workers otherwise. The
+golden runs check that a command writes the same bytes either way."""
 
 import logging
 import os
@@ -11,55 +12,34 @@ import pytest
 
 from dronefleet import cli
 
-from test_golden import (
-    COMPARE_FLAGS,
-    MULTI_SEED_TRAIN,
-    MULTI_SEEDS,
-    SWEEP_FLAGS,
-    _digests,
-    _run,
-    _scenario,
+
+def _force_pool(monkeypatch, cores, min_slots=0):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(cli, "POOL_MIN_SLOTS", min_slots)
+
+
+@pytest.mark.parametrize(
+    "cores, slots, pooled", [(1, 10**9, False), (2, 99, False), (2, 100, True)]
 )
-
-
-def _force_cores(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_cells_come_back_in_order_from_where_they_ran(monkeypatch, cores):
-    _force_cores(monkeypatch, cores)
-    pids = cli.run_cells([os.getpid] * 3)
-    if cores == 1:
-        assert pids == [os.getpid()] * 3
-    else:
+def test_cells_come_back_in_order_from_where_they_ran(monkeypatch, cores, slots, pooled):
+    _force_pool(monkeypatch, cores, min_slots=100)
+    pids = cli.run_cells([os.getpid] * 3, slots)
+    if pooled:
         assert os.getpid() not in pids
-    assert cli.run_cells([partial(pow, 2, k) for k in range(5)]) == [1, 2, 4, 8, 16]
-    assert cli.run_cells([partial(pow, 3, 2)]) == [9]
+    else:
+        assert pids == [os.getpid()] * 3
+    assert cli.run_cells([partial(pow, 2, k) for k in range(5)], slots) == [1, 2, 4, 8, 16]
+    assert cli.run_cells([partial(pow, 3, 2)], slots) == [9]
 
 
 def test_workers_log_with_the_parents_level_and_format(monkeypatch, capfd):
-    _force_cores(monkeypatch, 2)
+    _force_pool(monkeypatch, 2)
     monkeypatch.setattr(logging.getLogger(), "level", logging.INFO)
     log = logging.getLogger("dronefleet.cells").info
-    cli.run_cells([partial(log, "cell %d", k) for k in range(2)])
+    cli.run_cells([partial(log, "cell %d", k) for k in range(2)], 0)
     err = capfd.readouterr().err
     assert "INFO dronefleet.cells: cell 0" in err
     assert "INFO dronefleet.cells: cell 1" in err
-
-
-def test_outputs_do_not_depend_on_the_number_of_cores(monkeypatch, tmp_path):
-    runs = {
-        "sweep": (_scenario("bernoulli", controller="threshold"), ["sweep", *SWEEP_FLAGS]),
-        "compare": (None, ["compare", *COMPARE_FLAGS]),
-        "train": (_scenario("bernoulli", train=MULTI_SEED_TRAIN, seeds=MULTI_SEEDS), ["train"]),
-    }
-    for name, (doc, argv) in runs.items():
-        digests = []
-        for cores in (1, 2):
-            _force_cores(monkeypatch, cores)
-            digests.append(_digests(_run(str(tmp_path), f"{name}-{cores}", doc, argv)))
-        assert digests[0] and digests[0] == digests[1], name
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -23,6 +23,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from dronefleet import cli
 from dronefleet.cli import main
 
 NUMPY_VERSION = "2.4.6"
@@ -189,12 +190,21 @@ def collect_digests(tmp):
     ckpts = os.path.join(out, "checkpoints", f"seed{TRAIN_SEED}")
     out = _run(tmp, "eval/bernoulli/rl", doc, ["eval", *EVAL_FLAGS, "--checkpoints", ckpts])
     runs["eval/bernoulli/rl"] = _digests(out)
-    doc = _scenario("bernoulli", train=MULTI_SEED_TRAIN, seeds=MULTI_SEEDS)
-    runs["train/bernoulli-3-seeds"] = _digests(_run(tmp, "train/bernoulli-3-seeds", doc, ["train"]))
-    doc = _scenario("bernoulli", controller="threshold")
-    runs["sweep/bernoulli"] = _digests(_run(tmp, "sweep/bernoulli", doc, ["sweep", *SWEEP_FLAGS]))
-    runs["compare"] = _digests(_run(tmp, "compare", None, ["compare", *COMPARE_FLAGS]))
+    for name, (doc, argv) in multi_cell_runs().items():
+        runs[name] = _digests(_run(tmp, name, doc, argv))
     return runs
+
+
+def multi_cell_runs():
+    """The golden runs of more than one cell: name -> (config doc, argv)."""
+    return {
+        "train/bernoulli-3-seeds": (
+            _scenario("bernoulli", train=MULTI_SEED_TRAIN, seeds=MULTI_SEEDS),
+            ["train"],
+        ),
+        "sweep/bernoulli": (_scenario("bernoulli", controller="threshold"), ["sweep", *SWEEP_FLAGS]),
+        "compare": (None, ["compare", *COMPARE_FLAGS]),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +227,15 @@ def test_output_bytes_match_golden(digests, run):
 
 def test_every_run_is_pinned(digests):
     assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("run", sorted(multi_cell_runs()))
+def test_pooled_cells_write_the_golden_bytes(monkeypatch, tmp_path, run):
+    # the golden runs are too small for the pool; force it on two cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "POOL_MIN_SLOTS", 0)
+    doc, argv = multi_cell_runs()[run]
+    assert _digests(_run(str(tmp_path), run, doc, argv)) == GOLDEN[run]
 
 
 if __name__ == "__main__":
