@@ -23,10 +23,12 @@ from .configs import (
     CONTROLLERS,
     ConfigError,
     ExperimentConfig,
+    config_from_dict,
     load_experiment_config,
+    read_json,
 )
 from .metrics import CSV_COLUMNS, csv_row, summarize
-from .rlagent import CheckpointError, load_checkpoint, save_checkpoint
+from .rlagent import CheckpointError, checkpoint_from_dict, save_checkpoint
 from .runner import run_policy, write_trace
 from .training import train
 
@@ -52,7 +54,7 @@ def _config(args, ref: str, total_uavs: int | None) -> ExperimentConfig:
         overrides.update(total_uavs=total_uavs, initial_allocation="static")
     cfg = load_experiment_config(ref, **overrides)
     if args.command != "train":  # eval, sweep and compare run one seed
-        cfg = replace(cfg, seeds=cfg.seeds[:1], raw={**cfg.raw, "seeds": cfg.seeds[:1]})
+        cfg = config_from_dict(cfg.resolved, seeds=cfg.seeds[:1])
     return cfg
 
 
@@ -66,8 +68,8 @@ def _checkpoints(args, cfg: ExperimentConfig, pattern: str = "") -> list:
         path = os.path.join(args.checkpoints, pattern, f"agent_pdc{pdc}.json")
         if not os.path.exists(path):
             raise CheckpointError(f"missing checkpoint {path}")
-        net, _, echo = load_checkpoint(path)
-        _check_echo(echo, cfg, pdc, path)
+        net, _, echo = checkpoint_from_dict(read_json(path, CheckpointError, "checkpoint"))
+        cfg.check_echo(echo, pdc, path)
         nets.append(net)
     # the controller runs them as one stack
     if len({tuple(net.layer_sizes) for net in nets}) > 1:
@@ -80,30 +82,19 @@ def _output_dir(args, resolved: dict) -> str:
     under its file name. Runs once every input has passed its checks, so a
     command that fails on its input writes nothing."""
     out = args.out or os.path.join(os.environ.get("DRONEFLEET_OUT", "runs"), args.command)
-    os.makedirs(out, exist_ok=True)
-    for name, cfg in resolved.items():
-        _write_json(os.path.join(out, name), cfg.resolved_dict(), sort_keys=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, cfg in resolved.items():
+            _write_json(os.path.join(out, name), cfg.resolved, sort_keys=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _check_echo(echo, cfg: ExperimentConfig, pdc: int, path: str) -> None:
-    """A checkpoint trained for another center, delta or epoch length does
-    not fit this config. Another arrival pattern does: evaluating across
-    patterns is a use of its own. A value the echo leaves out is not checked."""
-    if not isinstance(echo, dict):
-        raise CheckpointError(f"malformed checkpoint {path}: its config echo is not an object")
-    reward = echo.get("reward")
-    trained = {
-        "pdc": echo.get("pdc"),
-        "delta": echo.get("delta"),
-        "epoch_slots": reward.get("epoch_slots") if isinstance(reward, dict) else None,
-    }
-    wanted = {"pdc": pdc, "delta": cfg.delta, "epoch_slots": cfg.reward.epoch_slots}
-    for key, value in trained.items():
-        if value is not None and value != wanted[key]:
-            raise CheckpointError(
-                f"checkpoint {path} was trained with {key} {value!r}, the config has {wanted[key]}"
-            )
+def _check_distinct(values: list, option: str) -> None:
+    """Each of `values` is a cell of its own: one listed twice would run twice."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{option} lists a value more than once: {values}")
 
 
 def run_cells(cells: list, slots: int) -> list:
@@ -130,7 +121,7 @@ def _run_report(cfg: ExperimentConfig, nets, trace_path=None):
         cfg.district,
         cfg.make_processes(),
         cfg.build_controller(nets),
-        cfg.initial_allocation_counts(),
+        cfg.initial_allocation,
         cfg.reward.epoch_slots,
         cfg.horizon_slots,
         cfg.seeds[0],
@@ -210,6 +201,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_distinct(args.fleet_sizes, "--n-uavs")
     cfgs = [_config(args, args.config, total) for total in args.fleet_sizes]
     cfg = cfgs[0]  # the fleet size is all they differ in
     nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
@@ -234,6 +226,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_distinct(args.patterns, "--patterns")
+    _check_distinct(args.algorithms, "--algorithms")
     cfgs = [(pattern, _config(args, pattern, None)) for pattern in args.patterns]
     rl = "rl" in args.algorithms
     nets = [_checkpoints(args, cfg, pattern) if rl else None for pattern, cfg in cfgs]

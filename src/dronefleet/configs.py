@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .arrivals import ArrivalProcess
@@ -18,8 +18,8 @@ from .controllers import (
     ThresholdController,
     largest_remainder,
 )
-from .geography import District, builtin_district, load_district
-from .rlagent import GreedyPolicyController, RewardParams
+from .geography import District, builtin_district, district_from_dict
+from .rlagent import CheckpointError, GreedyPolicyController, RewardParams
 from .training import TrainConfig
 
 BUILTIN_SCENARIOS = ("bernoulli", "tvb", "mmb")
@@ -30,10 +30,19 @@ class ConfigError(Exception):
     """Raised for unusable configuration input."""
 
 
+def read_json(path: str, error: type[Exception], what: str):
+    """The JSON document in the file at `path`, or `error` naming `what` when
+    the file cannot be opened, decoded as UTF-8 or parsed (nor nested too deep)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     district: District
-    district_source: str
     arrival: dict  # the section as given, defaults filled in
     arrival_args: list  # ArrivalProcess arguments, one dict per PDC
     controller: str
@@ -45,14 +54,8 @@ class ExperimentConfig:
     horizon_slots: int
     warmup_slots: int
     ql_update_multiple: int
-    initial_allocation: object = "static"  # "static" or explicit per-PDC counts
-    raw: dict = field(default_factory=dict)
-
-    def initial_allocation_counts(self) -> list:
-        if self.initial_allocation == "static":
-            weights = [r.weight for r in self.district.regions]
-            return largest_remainder(weights, self.district.total_uavs)
-        return list(self.initial_allocation)
+    initial_allocation: list  # drones per PDC at the start of a run
+    resolved: dict  # the document as run: what config_from_dict reads back unchanged
 
     def make_processes(self) -> list:
         """Fresh arrival process per PDC (the modulated one carries state)."""
@@ -68,13 +71,6 @@ class ExperimentConfig:
         if nets is None:
             raise ConfigError("the rl controller needs trained checkpoints")
         return GreedyPolicyController(nets, self.delta)
-
-    def resolved_dict(self) -> dict:
-        doc = copy.deepcopy(self.raw)
-        doc["district"] = self.district_source
-        doc["total_uavs"] = self.district.total_uavs
-        doc["initial_allocation"] = self.initial_allocation_counts()
-        return doc
 
     def checkpoint_echo(self, seed: int, pdc: int) -> dict:
         return {
@@ -93,6 +89,28 @@ class ExperimentConfig:
             "max_steps_per_episode": self.train.max_steps_per_episode,
         }
 
+    def check_echo(self, echo, pdc: int, path: str) -> None:
+        """Raise CheckpointError when `echo`, a checkpoint_echo read from `path`,
+        names another center, delta or epoch length than this config. Another
+        arrival pattern fits; a value the echo leaves out is not checked."""
+        if not isinstance(echo, dict):
+            raise CheckpointError(f"malformed checkpoint {path}: its config echo is not an object")
+        reward = echo.get("reward") if isinstance(echo.get("reward"), dict) else {}
+        for key, trained, wanted in [
+            ("pdc", echo.get("pdc"), pdc),
+            ("delta", echo.get("delta"), self.delta),
+            ("epoch_slots", reward.get("epoch_slots"), self.reward.epoch_slots),
+        ]:
+            if trained is not None and trained != wanted:
+                raise CheckpointError(
+                    f"checkpoint {path} was trained with {key} {trained!r}, the config has {wanted}"
+                )
+
+
+_TOP_KEYS = (
+    "district arrival controller reward queue_bounds delta initial_allocation train seeds"
+    " horizon_slots warmup_slots ql_update_multiple total_uavs"
+).split()
 
 _ARRIVAL_DEFAULTS = {
     "truck_interval_mins": 30,
@@ -117,8 +135,12 @@ _TRAIN_FIELDS = {
 }
 
 
-# arrival type -> the rate rule of its process
-_RATE_RULES = {"bernoulli": "constant", "tvb": "square", "mmb": "markov"}
+# arrival type -> the rate rule of its process and the keys that rule reads
+_RATE_RULES = {
+    "bernoulli": ("constant", ("p",)),
+    "tvb": ("square", ("p_high", "p_low", "period_mins")),
+    "mmb": ("markov", ("p_high", "p_low", "p_high_to_low", "p_low_to_high")),
+}
 
 
 def _number(value, name: str, kind=float, low=None, high=None):
@@ -144,17 +166,20 @@ def _numbers(values, name: str, kind=float, **bounds) -> list:
     return [_number(v, f"{name}[{i}]", kind, **bounds) for i, v in enumerate(values)]
 
 
-def _section(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
+def _section(doc, key, known) -> dict:
+    """doc[key] (an empty object when absent), or `doc` itself for key None:
+    a JSON object that holds no key but `known`. A misspelled key would
+    otherwise run with the default and still be recorded as given."""
+    value = doc if key is None else doc.get(key, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object")
+        raise ConfigError(f"{key or 'config root'} must be a JSON object")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {key or 'top-level'} settings: {sorted(unknown)}")
     return value
 
 
 def _parse_train(doc: dict) -> TrainConfig:
-    unknown = set(doc) - set(_TRAIN_FIELDS) - {"hidden_sizes"}
-    if unknown:
-        raise ConfigError(f"unknown train settings: {sorted(unknown)}")
     values = {}
     for key, value in {"episodes": 150, **doc}.items():
         if key != "hidden_sizes":
@@ -172,14 +197,16 @@ def _probability(doc: dict, key: str) -> float:
 
 
 def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
-    """The section with defaults filled in, and each PDC's process arguments."""
-    if not isinstance(doc, dict) or "type" not in doc:
+    """The arrival section of `doc` with defaults filled in, and each PDC's
+    process arguments."""
+    given = doc.get("arrival")
+    if not isinstance(given, dict) or "type" not in given:
         raise ConfigError("arrival section missing")
+    if not isinstance(given["type"], str) or given["type"] not in _RATE_RULES:
+        raise ConfigError(f"unknown arrival type {given['type']!r}")
+    rule, rate_keys = _RATE_RULES[given["type"]]
     arr = dict(_ARRIVAL_DEFAULTS)
-    arr.update(doc)
-    if not isinstance(arr["type"], str) or arr["type"] not in _RATE_RULES:
-        raise ConfigError(f"unknown arrival type {arr['type']!r}")
-    rule = _RATE_RULES[arr["type"]]
+    arr.update(_section(doc, "arrival", (*_ARRIVAL_DEFAULTS, "type", "batch_means", *rate_keys)))
     half = _number(arr["batch_half_width"], "arrival.batch_half_width", int, low=0)
     means = _numbers(arr.get("batch_means"), "arrival.batch_means", int, low=half)
     if len(means) != num_pdcs:
@@ -211,13 +238,12 @@ def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
     return arr, [dict(args, batch_mean=mean) for mean in means]
 
 
-def config_from_dict(doc: dict, source: str = "<dict>", **overrides) -> ExperimentConfig:
+def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     """The checked config of `doc`, with `overrides` in place of its top-level
     values. They pass the same checks and the resolved config records them;
-    an overriding horizon_slots at or below the warmup runs without one."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    doc = {**doc, **overrides}
+    an overriding horizon_slots at or below the warmup runs without one.
+    The resolved config, read back, gives the same config."""
+    doc = {**_section(doc, None, _TOP_KEYS), **_section(overrides, None, _TOP_KEYS)}
     district_ref = doc.get("district", "builtin")
     if not isinstance(district_ref, str):
         raise ConfigError("district must be 'builtin' or the path of a district file")
@@ -225,20 +251,18 @@ def config_from_dict(doc: dict, source: str = "<dict>", **overrides) -> Experime
         if district_ref == "builtin":
             district = builtin_district()
         else:
-            district = load_district(district_ref)
-    except OSError as exc:
-        raise ConfigError(f"cannot read district file {district_ref}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
+            district = district_from_dict(read_json(district_ref, ConfigError, "district file"))
+    except ValueError as exc:
         raise ConfigError(f"bad district document: {exc}") from exc
 
     d = district.num_pdcs
-    arrival, arrival_args = _parse_arrival(doc.get("arrival"), d)
+    arrival, arrival_args = _parse_arrival(doc, d)
 
     controller = doc.get("controller", "rl")
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {controller!r}")
 
-    reward_doc = _section(doc, "reward")
+    reward_doc = _section(doc, "reward", ("lam", "violation_budget", "epoch_slots"))
     reward = RewardParams(
         lam=_number(reward_doc.get("lam", 4.0), "reward.lam"),
         violation_budget=_number(
@@ -258,10 +282,12 @@ def config_from_dict(doc: dict, source: str = "<dict>", **overrides) -> Experime
     if district.total_uavs < 1:
         raise ConfigError("total_uavs must be >= 1")
 
-    train = _parse_train(_section(doc, "train"))
+    train = _parse_train(_section(doc, "train", (*_TRAIN_FIELDS, "hidden_sizes")))
 
     alloc = doc.get("initial_allocation", "static")
-    if alloc != "static":
+    if alloc == "static":
+        alloc = largest_remainder([r.weight for r in district.regions], district.total_uavs)
+    else:
         alloc = _numbers(alloc, "initial_allocation", int, low=0)
         if len(alloc) != d:
             raise ConfigError("initial_allocation must be 'static' or one count per PDC")
@@ -283,9 +309,10 @@ def config_from_dict(doc: dict, source: str = "<dict>", **overrides) -> Experime
 
     ql_mult = _number(doc.get("ql_update_multiple", 5), "ql_update_multiple", int, low=1)
 
+    resolved = copy.deepcopy(doc)
+    resolved.update(district=district_ref, total_uavs=district.total_uavs, initial_allocation=alloc)
     return ExperimentConfig(
         district=district,
-        district_source=district_ref,
         arrival=arrival,
         arrival_args=arrival_args,
         controller=controller,
@@ -297,8 +324,8 @@ def config_from_dict(doc: dict, source: str = "<dict>", **overrides) -> Experime
         horizon_slots=horizon,
         warmup_slots=warmup,
         ql_update_multiple=ql_mult,
-        initial_allocation=alloc,
-        raw=copy.deepcopy(doc),
+        initial_allocation=list(alloc),
+        resolved=resolved,
     )
 
 
@@ -307,12 +334,5 @@ def load_experiment_config(ref: str, **overrides) -> ExperimentConfig:
     `overrides` as config_from_dict takes them."""
     if ref in BUILTIN_SCENARIOS:
         text = resources.files("dronefleet").joinpath(f"data/scenario_{ref}.json").read_text()
-        return config_from_dict(json.loads(text), ref, **overrides)
-    try:
-        with open(ref) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config not found: {ref}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, ref, **overrides)
+        return config_from_dict(json.loads(text), **overrides)
+    return config_from_dict(read_json(ref, ConfigError, "config"), **overrides)

@@ -145,6 +145,8 @@ def district_from_dict(doc: dict) -> District:
             if not sum(s.weight for s in subs) > 0:
                 raise ValueError("region has no population weight")
             regions.append(Region(pdc_location=_point(reg["pdc"], "pdc"), subregions=subs))
+        if not regions:
+            raise ValueError("district without regions")
         total_uavs = int(doc["total_uavs"])
         # int() would truncate 40.9 to 40
         if isinstance(doc["total_uavs"], float) and total_uavs != doc["total_uavs"]:
@@ -160,11 +162,6 @@ def district_from_dict(doc: dict) -> District:
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed district document: {exc}") from exc
-
-
-def load_district(path: str) -> District:
-    with open(path) as fh:
-        return district_from_dict(json.load(fh))
 
 
 def builtin_district() -> District:

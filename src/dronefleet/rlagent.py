@@ -219,14 +219,8 @@ def save_checkpoint(path: str, net: QNetwork, train_steps: int, config_echo: dic
         json.dump(doc, fh)
 
 
-def load_checkpoint(path: str) -> tuple[QNetwork, int, dict]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+def checkpoint_from_dict(doc) -> tuple[QNetwork, int, dict]:
+    """The network, step count and config echo of a save_checkpoint document."""
     try:
         sizes = list(doc["layer_sizes"])
         weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]

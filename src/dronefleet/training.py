@@ -117,7 +117,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
         state = init_sim(
             district,
             scenario.make_processes(),
-            scenario.initial_allocation_counts(),
+            scenario.initial_allocation,
             master.spawn(1)[0],
         )
         reward_total = 0.0

@@ -184,7 +184,7 @@ def test_criterion_4_scheduler_oracle_and_conservation(capsys):
     state = init_sim(
         cfg.district,
         cfg.make_processes(),
-        cfg.initial_allocation_counts(),
+        cfg.initial_allocation,
         np.random.SeedSequence(44),
     )
     fuzz_rng = np.random.default_rng(45)
@@ -257,7 +257,7 @@ def test_criterion_7_baselines_under_shifting_demand(capsys):
             cfg.district,
             cfg.make_processes(),
             controller,
-            cfg.initial_allocation_counts(),
+            cfg.initial_allocation,
             cfg.reward.epoch_slots,
             60_000,
             np.random.SeedSequence(7),
@@ -386,7 +386,7 @@ def _train_and_evaluate(seed: int):
         cfg.district,
         cfg.make_processes(),
         controller,
-        cfg.initial_allocation_counts(),
+        cfg.initial_allocation,
         cfg.reward.epoch_slots,
         20_000,
         np.random.SeedSequence(1000 + seed),

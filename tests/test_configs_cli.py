@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 import dronefleet
+from dronefleet import cli
 from dronefleet.cli import main
 from dronefleet.configs import (
     BUILTIN_SCENARIOS,
     ConfigError,
     config_from_dict,
     load_experiment_config,
+    read_json,
 )
 from dronefleet.metrics import CSV_COLUMNS
 from dronefleet.network import init_network
-from dronefleet.rlagent import STATE_SIZE, load_checkpoint, save_checkpoint
+from dronefleet.rlagent import STATE_SIZE, CheckpointError, checkpoint_from_dict, save_checkpoint
 
 
 def base_doc(**overrides):
@@ -50,7 +52,7 @@ def test_bundled_scenarios_load():
         assert cfg.district.total_uavs == 60
         assert len(cfg.queue_bounds) == 4
         assert cfg.arrival["type"] == name
-        assert cfg.initial_allocation_counts() == [12, 11, 17, 20]
+        assert cfg.initial_allocation == [12, 11, 17, 20]
 
 
 def test_unknown_config_ref_is_config_error(tmp_path):
@@ -91,19 +93,19 @@ def test_validation_rejects_bad_documents():
 def test_total_uavs_sets_the_district_fleet():
     cfg = config_from_dict(base_doc(total_uavs=40))
     assert cfg.district.total_uavs == 40
-    assert sum(cfg.initial_allocation_counts()) == 40
-    assert cfg.resolved_dict()["total_uavs"] == 40
+    assert sum(cfg.initial_allocation) == 40
+    assert cfg.resolved["total_uavs"] == 40
     assert cfg.checkpoint_echo(seed=1, pdc=1)["total_uavs"] == 40
     bigger = config_from_dict(base_doc(total_uavs=40), total_uavs=70, initial_allocation="static")
     assert bigger.district.total_uavs == 70
-    assert sum(bigger.initial_allocation_counts()) == 70
+    assert sum(bigger.initial_allocation) == 70
     with pytest.raises(ConfigError):
         config_from_dict(base_doc(total_uavs=40), total_uavs=0, initial_allocation="static")
 
 
 def test_explicit_initial_allocation_passes_through():
     cfg = config_from_dict(base_doc(initial_allocation=[10, 10, 10, 10]))
-    assert cfg.initial_allocation_counts() == [10, 10, 10, 10]
+    assert cfg.initial_allocation == [10, 10, 10, 10]
 
 
 def test_make_processes_are_independent():
@@ -129,10 +131,11 @@ def test_build_controller_variants():
     assert len(cfg.build_controller(nets).decide(0, [(1, 0)] * 4)) == 4
 
 
-def test_resolved_dict_and_checkpoint_echo():
-    cfg = config_from_dict(base_doc(), source="unit")
-    resolved = cfg.resolved_dict()
+def test_resolved_document_and_checkpoint_echo():
+    cfg = config_from_dict(base_doc())
+    resolved = cfg.resolved
     assert resolved["district"] == "builtin"
+    assert resolved["total_uavs"] == 60
     assert resolved["initial_allocation"] == [12, 11, 17, 20]
     echo = cfg.checkpoint_echo(seed=3, pdc=2)
     assert echo["seed"] == 3 and echo["pdc"] == 2
@@ -322,13 +325,6 @@ def test_delta_below_one_exits_2(tmp_path, capsys, delta):
     err = capsys.readouterr().err
     assert "config error" in err and "delta" in err and "Traceback" not in err
     assert not out.exists()
-
-
-def test_unreadable_district_file_exits_2(tmp_path, capsys):
-    config = write_config(tmp_path, base_doc(district=str(tmp_path)))  # a directory
-    assert main(["eval", "--config", config, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
 
 
 def bundled_district_doc():
@@ -524,7 +520,8 @@ def test_cli_train_artifacts(tmp_path):
     assert len(rows) == 3  # header plus one row per episode
 
     for pdc in range(1, 5):
-        net, steps, echo = load_checkpoint(str(out / "checkpoints" / "seed5" / f"agent_pdc{pdc}.json"))
+        path = str(out / "checkpoints" / "seed5" / f"agent_pdc{pdc}.json")
+        net, steps, echo = checkpoint_from_dict(read_json(path, CheckpointError, "checkpoint"))
         assert net.layer_sizes == [25, 32, 32, 3]
         assert steps == 8
         assert echo["seed"] == 5 and echo["pdc"] == pdc
@@ -740,3 +737,131 @@ def test_cli_compare(tmp_path):
     assert [(r[0], r[1]) for r in rows[1:]] == [("static", "bernoulli"), ("threshold", "bernoulli")]
     assert (out / "reports" / "static_bernoulli.json").exists()
     assert (out / "resolved_bernoulli.json").exists()
+
+
+def _raw_file(tmp_path, name, data: bytes):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _district_file(tmp_path, fault):
+    doc = bundled_district_doc()
+    fault(doc)
+    return write_config(tmp_path, doc, "district.json")
+
+
+def _arrival_with(**extra):
+    return {**base_doc()["arrival"], **extra}
+
+
+def _checkpoint_files(tmp_path, data: bytes):
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for pdc in range(1, 5):
+        (ckpts / f"agent_pdc{pdc}.json").write_bytes(data)
+    return str(ckpts)
+
+
+def _file_at_out(tmp_path):
+    (tmp_path / "taken").write_text("x")
+    return str(tmp_path / "taken")
+
+
+def _eval(tmp_path, **overrides):
+    return ["eval", "--config", write_config(tmp_path, base_doc(**overrides))]
+
+
+def _eval_rl(checkpoints):
+    return ["eval", "--config", "bernoulli", "--horizon", "120", "--checkpoints", checkpoints]
+
+
+COMPARE = ["compare", "--patterns", "bernoulli", "--algorithms", "static", "--horizon", "120"]
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+# id -> (exit code, builder of the argv from tmp_path; --out is appended
+# unless the argv names its own)
+INPUT_FAULTS = {
+    "config-is-a-directory": (2, lambda t: ["eval", "--config", str(t)]),
+    "config-not-utf8": (
+        2,
+        lambda t: ["eval", "--config", _raw_file(t, "c.json", b'{"controller": "st\xe4tic"}')],
+    ),
+    "config-nested-100000-deep": (2, lambda t: ["eval", "--config", _raw_file(t, "c.json", DEEP)]),
+    "district-is-a-directory": (2, lambda t: _eval(t, district=str(t))),
+    "district-not-utf8": (
+        2,
+        lambda t: _eval(t, district=_raw_file(t, "d.json", b'{"port": "\xff"}')),
+    ),
+    # no PDC, so no batch mean or queue bound either: the static split is
+    # the first to need a region
+    "district-without-regions": (
+        2,
+        lambda t: _eval(
+            t,
+            district=_district_file(t, lambda doc: doc.update(regions=[])),
+            arrival=_arrival_with(batch_means=[]),
+            queue_bounds=[],
+        ),
+    ),
+    "checkpoint-not-utf8": (
+        3,
+        lambda t: _eval_rl(_checkpoint_files(t, b'{"layer_sizes": "\xff"}')),
+    ),
+    "checkpoint-nested-100000-deep": (3, lambda t: _eval_rl(_checkpoint_files(t, DEEP))),
+    "unknown-top-level-key": (2, lambda t: _eval(t, horizon_slot=120)),
+    "unknown-reward-key": (2, lambda t: _eval(t, reward={"epoch": 30})),
+    "unknown-arrival-key": (2, lambda t: _eval(t, arrival=_arrival_with(truck_interval=7))),
+    "arrival-key-of-another-type": (2, lambda t: _eval(t, arrival=_arrival_with(p_high=0.9))),
+    "out-is-a-file": (2, lambda t: [*COMPARE, "--out", _file_at_out(t)]),
+    "out-under-a-file": (2, lambda t: [*COMPARE, "--out", os.path.join(_file_at_out(t), "sub")]),
+    "pattern-listed-twice": (
+        2,
+        lambda t: ["compare", "--patterns", "bernoulli", "bernoulli", "--algorithms", "static"],
+    ),
+    "algorithm-listed-twice": (
+        2,
+        lambda t: ["compare", "--patterns", "bernoulli", "--algorithms", "static", "static"],
+    ),
+    "fleet-size-listed-twice": (2, lambda t: ["sweep", *_eval(t)[1:], "--n-uavs", "40", "40"]),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_FAULTS))
+def test_input_fault_exits_with_one_line(tmp_path, capsys, case):
+    code, build = INPUT_FAULTS[case]
+    argv = build(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    dirs_before = sorted(p for p in tmp_path.rglob("*") if p.is_dir())
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "checkpoint error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_dir()) == dirs_before
+
+
+def test_every_arrival_type_reads_only_its_own_keys():
+    for kind, arrival in ARRIVALS.items():
+        config_from_dict(base_doc(arrival={**arrival, "per_slot_phase": False}))
+        for other in ARRIVALS.values():
+            for key in set(other) - set(arrival):
+                with pytest.raises(ConfigError, match="unknown arrival settings"):
+                    config_from_dict(base_doc(arrival={**arrival, key: other[key]}))
+
+
+@pytest.mark.parametrize("pattern", BUILTIN_SCENARIOS)
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--horizon", "600"], ["--n-uavs", "40"], ["--seed", "7"]],
+    ids=["plain", "horizon", "n-uavs", "seed"],
+)
+def test_resolved_config_loads_back_as_the_same_config(tmp_path, pattern, flags):
+    args = cli.build_parser().parse_args(["eval", "--config", pattern, *flags])
+    cfg = cli._config(args, args.config, args.n_uavs)
+    path = tmp_path / "resolved.json"
+    path.write_text(json.dumps(cfg.resolved, indent=2, sort_keys=True))
+    args = cli.build_parser().parse_args(["eval", "--config", str(path)])
+    again = cli._config(args, args.config, args.n_uavs)
+    assert again.resolved == cfg.resolved
+    assert again == cfg

@@ -64,7 +64,7 @@ def test_static_allocation_is_largest_remainder():
     # the static split, which every controller starts from
     cfg = load_experiment_config("bernoulli")
     weights = [region.weight for region in cfg.district.regions]
-    assert cfg.initial_allocation_counts() == largest_remainder(weights, 60)
+    assert cfg.initial_allocation == largest_remainder(weights, 60)
     assert largest_remainder([55, 50, 75, 90], 60) == [12, 11, 17, 20]
 
 

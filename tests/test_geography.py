@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dronefleet.configs import ConfigError, read_json
 from dronefleet.geography import (
     District,
     Region,
@@ -11,7 +12,6 @@ from dronefleet.geography import (
     builtin_district,
     distance,
     district_from_dict,
-    load_district,
     sample_destinations,
     travel_time_slots,
 )
@@ -177,7 +177,7 @@ def test_district_from_dict_roundtrip(tmp_path):
 
     path = tmp_path / "district.json"
     path.write_text(json.dumps(doc))
-    assert load_district(str(path)) == district
+    assert district_from_dict(read_json(str(path), ConfigError, "district file")) == district
 
 
 def test_district_from_dict_rejects_malformed():

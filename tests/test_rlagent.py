@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dronefleet import rlagent
+from dronefleet.configs import read_json
 from dronefleet.network import QNetwork, forward, init_network, stack_networks
 from dronefleet.rlagent import (
     COUNT_BITS,
@@ -15,10 +16,10 @@ from dronefleet.rlagent import (
     ReplayBuffer,
     RewardParams,
     action_delta,
+    checkpoint_from_dict,
     compute_reward,
     ddqn_targets_batch,
     encode_state,
-    load_checkpoint,
     save_checkpoint,
     select_action,
 )
@@ -303,12 +304,17 @@ def test_stacked_replay_matches_single_agent_buffers():
                     assert field_got[i].tobytes() == field_want[0].tobytes()
 
 
+def read_checkpoint(path):
+    """A checkpoint file read as the CLI reads it."""
+    return checkpoint_from_dict(read_json(path, CheckpointError, "checkpoint"))
+
+
 def test_checkpoint_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(9)
     net = init_network([25, 16, 3], rng)
     path = str(tmp_path / "agent.json")
     save_checkpoint(path, net, train_steps=1234, config_echo={"seed": 7})
-    loaded, steps, config = load_checkpoint(path)
+    loaded, steps, config = read_checkpoint(path)
     assert steps == 1234
     assert config == {"seed": 7}
     assert loaded.layer_sizes == net.layer_sizes
@@ -320,12 +326,12 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
 
 def test_checkpoint_errors(tmp_path):
     with pytest.raises(CheckpointError):
-        load_checkpoint(str(tmp_path / "missing.json"))
+        read_checkpoint(str(tmp_path / "missing.json"))
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(CheckpointError):
-        load_checkpoint(str(bad))
+        read_checkpoint(str(bad))
 
     rng = np.random.default_rng(10)
     net = init_network([25, 8, 3], rng)
@@ -335,12 +341,12 @@ def test_checkpoint_errors(tmp_path):
     doc["layer_sizes"] = [25, 9, 3]
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
-        load_checkpoint(str(path))
+        read_checkpoint(str(path))
 
     del doc["weights"]
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError):
-        load_checkpoint(str(path))
+        read_checkpoint(str(path))
 
 
 def test_greedy_policy_controller():

@@ -141,7 +141,7 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
         cfg.district,
         cfg.make_processes(),
         cfg.build_controller(),
-        cfg.initial_allocation_counts(),
+        cfg.initial_allocation,
         cfg.reward.epoch_slots,
         600,
         seed=3,
@@ -276,7 +276,7 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
     )
     ctrl = cfg.build_controller()
     state = init_sim(
-        cfg.district, cfg.make_processes(), cfg.initial_allocation_counts(), np.random.SeedSequence(5)
+        cfg.district, cfg.make_processes(), cfg.initial_allocation, np.random.SeedSequence(5)
     )
     rng = np.random.default_rng(6)
     d = cfg.district.num_pdcs
@@ -299,14 +299,14 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
         cfg.district,
         cfg.make_processes(),
         cfg.build_controller(),
-        cfg.initial_allocation_counts(),
+        cfg.initial_allocation,
         epoch_slots,
         1800,
         seed=3,
     )
     env_ss, sched_ss = np.random.SeedSequence(3).spawn(2)
     sched_rng = np.random.default_rng(sched_ss)
-    state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation_counts(), env_ss)
+    state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation, env_ss)
     ctrl = cfg.build_controller()
     arrivals, dispatches, q, n = [], [], [], []
     waiting = [deque() for _ in range(d)]
