@@ -29,7 +29,7 @@ from .configs import (
 )
 from .metrics import CSV_COLUMNS, csv_row, summarize
 from .rlagent import CheckpointError, checkpoint_from_dict, save_checkpoint
-from .runner import run_policy, write_trace
+from .runner import run_policy
 from .training import train
 
 logger = logging.getLogger(__name__)
@@ -68,7 +68,11 @@ def _checkpoints(args, cfg: ExperimentConfig, pattern: str = "") -> list:
         path = os.path.join(args.checkpoints, pattern, f"agent_pdc{pdc}.json")
         if not os.path.exists(path):
             raise CheckpointError(f"missing checkpoint {path}")
-        net, _, echo = checkpoint_from_dict(read_json(path, CheckpointError, "checkpoint"))
+        doc = read_json(path, CheckpointError, "checkpoint")
+        try:
+            net, _, echo = checkpoint_from_dict(doc)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
         cfg.check_echo(echo, pdc, path)
         nets.append(net)
     # the controller runs them as one stack
@@ -117,7 +121,7 @@ def run_cells(cells: list, slots: int) -> list:
 
 
 def _run_report(cfg: ExperimentConfig, nets, trace_path=None):
-    traces = run_policy(
+    tally = run_policy(
         cfg.district,
         cfg.make_processes(),
         cfg.build_controller(nets),
@@ -125,11 +129,11 @@ def _run_report(cfg: ExperimentConfig, nets, trace_path=None):
         cfg.reward.epoch_slots,
         cfg.horizon_slots,
         cfg.seeds[0],
+        cfg.queue_bounds,
+        cfg.warmup_slots,
+        trace_path,
     )
-    report = summarize(traces, cfg.queue_bounds, cfg.warmup_slots)
-    if trace_path is not None:
-        write_trace(trace_path, traces)
-    return report
+    return summarize(tally)
 
 
 def _write_csv(path: str, header: list, rows) -> None:

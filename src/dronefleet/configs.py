@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import reprlib
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -203,7 +204,7 @@ def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
     if not isinstance(given, dict) or "type" not in given:
         raise ConfigError("arrival section missing")
     if not isinstance(given["type"], str) or given["type"] not in _RATE_RULES:
-        raise ConfigError(f"unknown arrival type {given['type']!r}")
+        raise ConfigError(f"unknown arrival type {reprlib.repr(given['type'])}")
     rule, rate_keys = _RATE_RULES[given["type"]]
     arr = dict(_ARRIVAL_DEFAULTS)
     arr.update(_section(doc, "arrival", (*_ARRIVAL_DEFAULTS, "type", "batch_means", *rate_keys)))
@@ -260,7 +261,7 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
 
     controller = doc.get("controller", "rl")
     if controller not in CONTROLLERS:
-        raise ConfigError(f"unknown controller {controller!r}")
+        raise ConfigError(f"unknown controller {reprlib.repr(controller)}")
 
     reward_doc = _section(doc, "reward", ("lam", "violation_budget", "epoch_slots"))
     reward = RewardParams(

@@ -1,23 +1,17 @@
-"""Drive a controller against the simulator and record what the run counted."""
+"""Drive a controller against the simulator and tally what the run counted."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import simcore
 from .controllers import Controller
 from .geography import District
+from .metrics import Tally
 from .scheduler import schedule
 from .simcore import SimState, apply_allocation_moves, init_sim, observe
-
-
-@dataclass
-class RunTraces:
-    arrivals: np.ndarray  # packages arrived per PDC and slot, shape (D, slots)
-    dispatches: np.ndarray  # packages dispatched per PDC and slot, shape (D, slots)
-    n: np.ndarray  # UAVs each PDC held per decision epoch, shape (D, epochs)
 
 
 def run_epoch(
@@ -33,16 +27,9 @@ def run_epoch(
     counts[:, 1] = np.array(dispatched, dtype=np.int64).reshape(len(counts), -1)
 
 
-def queue_trace(arrivals: np.ndarray, dispatches: np.ndarray, q_start) -> np.ndarray:
-    """Per-slot queue lengths, C-contiguous (D, slots), of queues that held
-    q_start before the slots of these (D, slots) counts: what each held plus
-    its arrivals minus its dispatches. Built in place, so that no
-    whole-trace temporary is made."""
-    q = np.empty(arrivals.shape, dtype=np.int64)
-    np.subtract(arrivals, dispatches, out=q)
-    np.cumsum(q, axis=1, out=q)
-    q += np.asarray(q_start, dtype=np.int64)[:, None]
-    return q
+# epochs counted, folded and written to trace.csv at a time: what a run holds
+# per slot lives no longer than its block
+TRACE_BLOCK_EPOCHS = 32
 
 
 def run_policy(
@@ -53,11 +40,17 @@ def run_policy(
     epoch_slots: int,
     horizon_slots: int,
     seed: int | np.random.SeedSequence,
-) -> RunTraces:
-    """Run one fixed-policy episode of at least horizon_slots.
+    queue_bounds: list[float],
+    warmup_slots: int = 0,
+    trace_path: str | None = None,
+) -> Tally:
+    """Run one fixed-policy episode of at least horizon_slots and return its
+    tally of the slots from warmup_slots on.
 
     The controller is consulted every epoch_slots slots; the horizon is
-    rounded up to whole epochs.
+    rounded up to whole epochs. Epochs run TRACE_BLOCK_EPOCHS at a time into
+    one reused count buffer; each block is folded into the tally and, given
+    trace_path, written there as its trace.csv rows.
     """
     if epoch_slots < 1 or horizon_slots < 1:
         raise ValueError("epoch and horizon must be positive")
@@ -65,49 +58,45 @@ def run_policy(
     env_ss, sched_ss = master.spawn(2)
     sched_rng = np.random.default_rng(sched_ss)
     state = init_sim(district, processes, initial_allocation, env_ss)
+    tally = Tally(queue_bounds, warmup_slots)
 
     d = district.num_pdcs
     epochs = -(-horizon_slots // epoch_slots)
-    horizon = epochs * epoch_slots
-    counts = np.empty((horizon, 2, d), dtype=np.int64)
-    n_epochs = np.empty((epochs, d), dtype=np.int64)
+    counts = np.empty((TRACE_BLOCK_EPOCHS * epoch_slots, 2, d), dtype=np.int64)
+    n = np.empty((TRACE_BLOCK_EPOCHS, d), dtype=np.int64)
     observations = observe(state)
-    for epoch in range(epochs):
-        deltas = controller.decide(epoch, observations)
-        window = slice(epoch * epoch_slots, (epoch + 1) * epoch_slots)
-        run_epoch(state, deltas, sched_rng, counts[window])
-        observations = observe(state)
-        # homes change only between epochs
-        n_epochs[epoch] = [n for n, _ in observations]
-    return RunTraces(arrivals=counts[:, 0].T, dispatches=counts[:, 1].T, n=n_epochs.T)
+    with open(trace_path, "w", newline="") if trace_path else nullcontext() as trace:
+        if trace:
+            header = ["t"]
+            for name in ("q", "n", "arrivals", "dispatches"):
+                header += [f"{name}_{pdc}" for pdc in range(1, d + 1)]
+            trace.write(",".join(header) + "\r\n")
+        for first in range(0, epochs, TRACE_BLOCK_EPOCHS):
+            block = min(TRACE_BLOCK_EPOCHS, epochs - first)
+            for i in range(block):
+                deltas = controller.decide(first + i, observations)
+                window = slice(i * epoch_slots, (i + 1) * epoch_slots)
+                run_epoch(state, deltas, sched_rng, counts[window])
+                observations = observe(state)
+                # homes change only between epochs
+                n[i] = [held for held, _ in observations]
+            arrivals, dispatches = counts[: block * epoch_slots].transpose(1, 2, 0)
+            q = tally.fold(arrivals, dispatches, n[:block])
+            if trace:
+                _write_rows(trace, first * epoch_slots, q, n[:block], arrivals, dispatches)
+    return tally
 
 
-# epochs of trace.csv rows formatted at a time; the whole trace at once would
-# hold every cell as a Python int
-TRACE_BLOCK_EPOCHS = 32
-
-
-def write_trace(path: str, traces: RunTraces) -> None:
-    """Write trace.csv: a header, then t, q_*, n_*, arrivals_* and
-    dispatches_* per slot, in the bytes csv.writer gives for these names and
-    for plain ints."""
-    arrivals, dispatches = traces.arrivals, traces.dispatches
-    d = len(arrivals)
-    q = queue_trace(arrivals, dispatches, [0] * d)
-    n_epochs = traces.n.T
-    epoch_slots = arrivals.shape[1] // len(n_epochs)
-    header = ["t"]
-    for name in ("q", "n", "arrivals", "dispatches"):
-        header += [f"{name}_{pdc}" for pdc in range(1, d + 1)]
+def _write_rows(trace, t0: int, q, n, arrivals, dispatches) -> None:
+    """Write the trace.csv rows of a block of whole epochs from slot t0 on:
+    t, q_*, n_*, arrivals_* and dispatches_* per slot, in the bytes
+    csv.writer gives for plain ints."""
+    d, slots = q.shape
     cells = ",".join(["%d"] * d)
     row = f"%d,{cells},{{}},{cells},{cells}\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for first in range(0, len(n_epochs), TRACE_BLOCK_EPOCHS):
-            block = n_epochs[first : first + TRACE_BLOCK_EPOCHS].tolist()
-            # n holds over an epoch, so it goes into the epoch's rows' format
-            rows = "".join(row.format(",".join(map(str, n))) * epoch_slots for n in block)
-            window = slice(first * epoch_slots, (first + len(block)) * epoch_slots)
-            slots = np.arange(window.start, window.stop)[None, :]
-            columns = np.concatenate([slots] + [x[:, window] for x in (q, arrivals, dispatches)])
-            fh.write(rows % tuple(columns.T.ravel().tolist()))
+    epoch_slots = slots // len(n)
+    # n holds over an epoch, so it goes into the epoch's rows' format
+    rows = "".join(row.format(",".join(map(str, held))) * epoch_slots for held in n.tolist())
+    at = np.arange(t0, t0 + slots)[None, :]
+    columns = np.concatenate([at, q, arrivals, dispatches])
+    trace.write(rows % tuple(columns.T.ravel().tolist()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import slots_over
+from .metrics import queue_trace, slots_over
 from .network import (
     adam_step,
     batch_gradient,
@@ -41,7 +41,7 @@ from .rlagent import (
     encode_state,
     select_action,
 )
-from .runner import queue_trace, run_epoch
+from .runner import run_epoch
 from .simcore import init_sim, observe
 
 logger = logging.getLogger(__name__)

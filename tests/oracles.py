@@ -286,3 +286,35 @@ def ddqn_target(reward, next_encoded, done, online, target, gamma):
         return float(reward)
     best = int(np.argmax(forward(online, next_encoded)))
     return float(reward + gamma * forward(target, next_encoded)[best])
+
+
+def whole_array_report(arrivals, dispatches, n, queue_bounds, warmup_slots):
+    """The report fields of a run from its whole (D, slots) arrival and
+    dispatch counts and (D, epochs) fleets, computed by numpy over whole
+    arrays: the queue trace as one running sum, every FIFO wait at once
+    (the k-th dispatch of a center takes its k-th arrival), and np.mean and
+    np.std over the post-warmup samples."""
+    arrivals, dispatches = np.asarray(arrivals), np.asarray(dispatches)
+    d, horizon = arrivals.shape
+    q = np.cumsum(arrivals - dispatches, axis=1)[:, warmup_slots:]
+    waits = []
+    for arrived, dispatched in zip(arrivals, dispatches):
+        slots = np.arange(horizon)
+        left = np.repeat(slots, dispatched)
+        born = np.repeat(slots, arrived)[: len(left)]
+        waits.append((left - born)[born >= warmup_slots])
+    waits = np.concatenate(waits).astype(np.float64)
+    violation = ((q >= np.asarray(queue_bounds)[:, None]).sum(axis=1) / q.shape[1]).tolist()
+    fleet = np.repeat(np.asarray(n).sum(axis=0), horizon // np.shape(n)[1])[warmup_slots:]
+    return {
+        "violation": violation,
+        "p_max": max(violation),
+        "q_mean": float(q.mean()),
+        "q_std": float(q.std()),
+        "w_mean": float(waits.mean()) if waits.size else math.nan,
+        "w_std": float(waits.std()) if waits.size else math.nan,
+        "n_mean": float(fleet.mean()),
+        "horizon_slots": q.shape[1],
+        "q": q,
+        "waits": waits,
+    }

@@ -22,10 +22,10 @@ from dronefleet.cli import run_cells
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController, ThresholdController
 from dronefleet.geography import builtin_district
-from dronefleet.metrics import summarize
+from dronefleet.metrics import Tally, summarize
 from dronefleet.network import QNetwork, batch_gradient, forward, init_network
 from dronefleet.rlagent import GreedyPolicyController, RewardParams, compute_reward
-from dronefleet.runner import RunTraces, run_policy
+from dronefleet.runner import run_policy
 from dronefleet.scheduler import schedule
 from dronefleet.simcore import apply_allocation_moves, init_sim, observe, step_slot
 from dronefleet.training import TrainConfig, train
@@ -253,7 +253,7 @@ def test_criterion_7_baselines_under_shifting_demand(capsys):
         ("static", StaticController()),
         ("threshold", ThresholdController(cfg.queue_bounds, cfg.delta)),
     ):
-        traces = run_policy(
+        tally = run_policy(
             cfg.district,
             cfg.make_processes(),
             controller,
@@ -261,8 +261,10 @@ def test_criterion_7_baselines_under_shifting_demand(capsys):
             cfg.reward.epoch_slots,
             60_000,
             np.random.SeedSequence(7),
+            cfg.queue_bounds,
+            warmup_slots=1000,
         )
-        reports[name] = summarize(traces, cfg.queue_bounds, warmup_slots=1000)
+        reports[name] = summarize(tally)
     sv = reports["static"].violation
     saturated = sum(v >= 0.9 for v in sv)
     near_zero = sum(v <= 0.05 for v in sv)
@@ -288,12 +290,13 @@ def test_criterion_7_baselines_under_shifting_demand(capsys):
 def test_criterion_8_metrics_hand_example(capsys):
     # three one-slot epochs; q is [[0, 4, 0], [4, 0, 4]], so q == bound
     # counts, and the FIFO waits are eight of 0 and eight of 1
-    traces = RunTraces(
+    tally = Tally([4.0, 4.0], warmup_slots=0)
+    tally.fold(
         arrivals=np.array([[4, 4, 0], [4, 4, 4]]),
         dispatches=np.array([[4, 0, 4], [0, 8, 0]]),
-        n=np.array([[2, 2, 2], [1, 1, 3]]),
+        n=np.array([[2, 2, 2], [1, 1, 3]]).T,
     )
-    rep = summarize(traces, [4.0, 4.0], warmup_slots=0)
+    rep = summarize(tally)
     checks = [
         rep.violation == [1 / 3, 2 / 3],
         rep.p_max == 2 / 3,
@@ -382,7 +385,7 @@ def _train_and_evaluate(seed: int):
     cfg = load_experiment_config("bernoulli")
     result = train(cfg, TrainConfig(episodes=250, max_steps_per_episode=400), seed=seed)
     controller = GreedyPolicyController(result.nets, cfg.delta)
-    traces = run_policy(
+    tally = run_policy(
         cfg.district,
         cfg.make_processes(),
         controller,
@@ -390,8 +393,10 @@ def _train_and_evaluate(seed: int):
         cfg.reward.epoch_slots,
         20_000,
         np.random.SeedSequence(1000 + seed),
+        cfg.queue_bounds,
+        warmup_slots=1000,
     )
-    return seed, summarize(traces, cfg.queue_bounds, warmup_slots=1000)
+    return seed, summarize(tally)
 
 
 def test_criterion_6_training_reproduction(capsys):

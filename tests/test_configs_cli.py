@@ -657,6 +657,40 @@ def test_cli_rejects_checkpoints_of_mixed_shapes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_malformed_checkpoint_error_names_the_file(tmp_path, capsys):
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for pdc in range(1, 5):
+        net = init_network([STATE_SIZE, 32, 32, 3], np.random.default_rng(pdc))
+        save_checkpoint(str(ckpts / f"agent_pdc{pdc}.json"), net, 1, {})
+    bad = ckpts / "agent_pdc3.json"
+    doc = json.loads(bad.read_text())
+    del doc["weights"]
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([*_eval_rl(str(ckpts)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+    assert str(bad) in err and "'weights'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["arrival.type", "controller"])
+def test_bad_value_is_echoed_short(tmp_path, capsys, key):
+    nested = "bernoulli"
+    for _ in range(900):
+        nested = [nested]
+    if key == "controller":
+        doc = base_doc(controller=nested)
+    else:
+        doc = base_doc(arrival=_arrival_with(type=nested))
+    out = str(tmp_path / "o")
+    assert main(["eval", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown {key.replace('.', ' ')} ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_per_slot_phase_must_be_a_json_boolean(tmp_path, capsys):
     arrival = {
         "type": "mmb",

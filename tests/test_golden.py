@@ -13,8 +13,10 @@ To print the digests of the current code:
 """
 
 import contextlib
+import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -25,6 +27,8 @@ import pytest
 
 from dronefleet import cli
 from dronefleet.cli import main
+
+from oracles import whole_array_report
 
 NUMPY_VERSION = "2.4.6"
 
@@ -49,8 +53,8 @@ GOLDEN = {
         "trace.csv": "1ba46758e62cae78505644d84ca8dcf24e6e3de91518a74704417032ac8bad91"
     },
     "eval/bernoulli/threshold": {
-        "report.csv": "076ebd5e6e6fa3515b1cff20c4adc63815c2d63c372f3bd3ae34d362a9602925",
-        "report.json": "e58c8b6267a808cf1c8c4ca843cba269da619f27535108568316e0c974c6b62c",
+        "report.csv": "38049cf4be8e60f4b3e772a9b936d813cf0cdac062f27f1327a2842fd6bc9d79",
+        "report.json": "1061c59c4f0b7c9b65bf54e8cd663021cab5442eefc3f7314305b846711b95cf",
         "resolved_config.json": "098c7825431829ccb66523ae8ec44260672e7fdb2234d90ccf88aaa1725abfcb",
         "trace.csv": "8414c540f528e78aea1d4eda825453bfc14e20ed31d1090f7b9163d867d3e839"
     },
@@ -79,14 +83,14 @@ GOLDEN = {
         "trace.csv": "47b0671face750251d6de112e7c00e837f935bb1be536fa42bed1c4febc4d65d"
     },
     "eval/mmb/static": {
-        "report.csv": "9cc7c1dcc92de05c3d66e7f64371edf03d11598267af5be7ea982cea2097ac38",
-        "report.json": "143fc4aa539431f21d087887c672348c3507095b2c40d788c0e39b94d85f2ba9",
+        "report.csv": "1a97dd8301c251f16a406f8bc7616d586d37e526e6151553481b10dccadbf105",
+        "report.json": "299541a92f6e1fea9b031d2d5a345810ea51e100d5e8b7603077b12b839dd3de",
         "resolved_config.json": "ab3e3352cf541ee6e69afbc3cdf75454b32e12625fbe6c0f4d18af2e0580f295",
         "trace.csv": "fa9393d52cae711aebe3cd28b0e506b299c1b63208fc810bbb14652185614d9f"
     },
     "eval/mmb/threshold": {
-        "report.csv": "e47c86870acec15aacda91baa4fcd6868edb5c3e5d3f1dbaf4b0e2f069c8b970",
-        "report.json": "1fa16873260f812f319796bef2ae1571c055231983cdee7b134506696546302b",
+        "report.csv": "771fbb63f29bfaf34f0250bc4247c63306999cc9aa6986b793ea1d7aecc2ed81",
+        "report.json": "6842c11d4f01b6a312efcd1eb668641ea9ad3b37323fbf8ec1d42ebda5658ee2",
         "resolved_config.json": "4f0e4def46bc5565a9be680f54fb2a57110131dd5ad06a145e648fe96103fc64",
         "trace.csv": "39d36704d5766890ede1505c5f530b8400b4e6c985ab7af55a30a2dfbd36972b"
     },
@@ -106,8 +110,8 @@ GOLDEN = {
         "resolved_config.json": "c690f8ea9d577f87b0fcf9a79aab03a67cb4f2a6d824b85fc744e3f5321941a4"
     },
     "eval/bernoulli/rl": {
-        "report.csv": "7d224a538dad5468ccd8f3783c1cc0ace68c46360c611b303484219f621965f6",
-        "report.json": "68924f7d9034011156840e658df7d03d310b0aca59d846a4b8631c57a4b7e14c",
+        "report.csv": "5f98879cdb2291b9cb237d5d62e2f67e4342dcff433a5248675c1ee4eb3ea012",
+        "report.json": "c640f050f5a5b8fbd6d4edb769129072b68083bde23c82873dadcaf2a843de37",
         "resolved_config.json": "4600966d98a4dff9b3b14cec0d7ab6bcae7e155b1c936efe8cbd40c337aef4c3",
         "trace.csv": "5759d34ccabb6a24e8e6b5757e92b109c165b73f07b5664033f3f94bb7c16115"
     },
@@ -136,11 +140,11 @@ GOLDEN = {
         "sweep.csv": "4823241cc4864516ea09645ed40db478bc72cf86929eae90c7541c9c98061b01"
     },
     "compare": {
-        "compare.csv": "f918489a41385d236d93ae53256bd6e3a96dcfb000102efd8bf06e40e3a9134c",
+        "compare.csv": "73879d726857640a182ff5bab1faec09b3152d76c812e5fc02d72f583964ced7",
         "reports/ql_bernoulli.json": "ef612c8c35a61784e2b3e5fa3b968d7c73edd5e4c0be6e2fcdf73680436a1d30",
         "reports/ql_mmb.json": "da7a115ff70bb734c808158f8b91e7d8534160052fbf34dad7d5cef5f5a3b0ba",
         "reports/static_bernoulli.json": "1551918175d191cc8b6b336eac157303102382c639f1174dd4a22068d4686c59",
-        "reports/static_mmb.json": "143fc4aa539431f21d087887c672348c3507095b2c40d788c0e39b94d85f2ba9",
+        "reports/static_mmb.json": "299541a92f6e1fea9b031d2d5a345810ea51e100d5e8b7603077b12b839dd3de",
         "resolved_bernoulli.json": "25884ee9c03e096d70eb5c13d9c1722141b8e830ea50043c0cc088378ce0c460",
         "resolved_mmb.json": "84a23ade3e801b09b56da758002df2e27ce02584a088bd01d7958d1b1e39abf2"
     }
@@ -208,8 +212,15 @@ def multi_cell_runs():
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return collect_digests(str(tmp_path_factory.mktemp("golden")))
+def golden_dir(tmp_path_factory):
+    """The directory the golden runs wrote, and their digests."""
+    tmp = str(tmp_path_factory.mktemp("golden"))
+    return tmp, collect_digests(tmp)
+
+
+@pytest.fixture(scope="module")
+def digests(golden_dir):
+    return golden_dir[1]
 
 
 @pytest.mark.parametrize("run", sorted(GOLDEN))
@@ -227,6 +238,29 @@ def test_output_bytes_match_golden(digests, run):
 
 def test_every_run_is_pinned(digests):
     assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("run", sorted(name for name in GOLDEN if name.startswith("eval/")))
+def test_report_is_the_whole_trace_statistics(golden_dir, run):
+    # the report is folded from the run block by block; recomputed by numpy
+    # from the whole trace.csv, every field is the same float but the
+    # standard deviations, which may differ from np.std by 2 ulp at most
+    out = os.path.join(golden_dir[0], run)
+    with open(os.path.join(out, "resolved_config.json")) as fh:
+        cfg = json.load(fh)
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh)
+    with open(os.path.join(out, "trace.csv"), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    d = len(cfg["queue_bounds"])
+    _, n, arrivals, dispatches = np.array(rows, dtype=np.int64).T[1:].reshape(4, d, -1)
+    n = n[:, :: cfg["reward"]["epoch_slots"]]
+    want = whole_array_report(arrivals, dispatches, n, cfg["queue_bounds"], cfg["warmup_slots"])
+    assert want["waits"].size
+    for field in ("violation", "p_max", "q_mean", "w_mean", "n_mean", "horizon_slots"):
+        assert report[field] == want[field], field
+    for field in ("q_std", "w_std"):
+        assert abs(report[field] - want[field]) <= 2 * math.ulp(want[field]), field
 
 
 @pytest.mark.parametrize("run", sorted(multi_cell_runs()))

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from dronefleet.arrivals import ArrivalProcess
+from dronefleet.cli import _run_report
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
-from dronefleet.metrics import fifo_waits, summarize
-from dronefleet.runner import queue_trace, run_epoch, run_policy, write_trace
+from dronefleet.metrics import Tally, queue_trace, summarize
+from dronefleet.runner import TRACE_BLOCK_EPOCHS, run_epoch, run_policy
 from dronefleet.scheduler import schedule
 from dronefleet.simcore import apply_allocation_moves, init_sim, observe, step_slot
 
@@ -37,6 +39,40 @@ def procs():
     ]
 
 
+def read_trace(path):
+    """trace.csv as arrays: t, then the (D, slots) q, n, arrivals and
+    dispatches columns."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cells = np.array(rows, dtype=np.int64).T
+    d = (len(header) - 1) // 4
+    return cells[0], *cells[1:].reshape(4, d, -1)
+
+
+def moments(waits) -> tuple[int, int, int]:
+    """Count, sum and sum of squares of some waits."""
+    return len(waits), sum(waits), sum(w * w for w in waits)
+
+
+def epoch_replay(cfg, horizon, seed):
+    """The whole record of a run_policy run: run_epoch over every epoch from
+    the same seeds, into (D, slots) arrivals and dispatches and the
+    (D, epochs) drones each center held."""
+    env_ss, sched_ss = np.random.SeedSequence(seed).spawn(2)
+    sched_rng = np.random.default_rng(sched_ss)
+    state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation, env_ss)
+    ctrl = cfg.build_controller()
+    epoch_slots, d = cfg.reward.epoch_slots, cfg.district.num_pdcs
+    counts, n = [], []
+    for epoch in range(horizon // epoch_slots):
+        block = np.empty((epoch_slots, 2, d), dtype=np.int64)
+        run_epoch(state, ctrl.decide(epoch, observe(state)), sched_rng, block)
+        counts.append(block)
+        n.append([held for held, _ in observe(state)])
+    counts = np.concatenate(counts)
+    return counts[:, 0].T, counts[:, 1].T, np.array(n).T
+
+
 class RecordingController:
     def __init__(self):
         self.epochs = []
@@ -46,8 +82,9 @@ class RecordingController:
         return [0] * len(observations)
 
 
-def test_horizon_rounds_up_to_whole_epochs():
-    traces = run_policy(
+def test_horizon_rounds_up_to_whole_epochs(tmp_path):
+    path = tmp_path / "trace.csv"
+    tally = run_policy(
         district=tiny_district(),
         processes=procs(),
         controller=StaticController(),
@@ -55,9 +92,16 @@ def test_horizon_rounds_up_to_whole_epochs():
         epoch_slots=60,
         horizon_slots=61,
         seed=0,
+        queue_bounds=[2.0, 2.0],
+        trace_path=str(path),
     )
-    assert traces.arrivals.shape == traces.dispatches.shape == (2, 120)
-    assert traces.n.shape == (2, 2)
+    assert tally.slots == summarize(tally).horizon_slots == 120
+    t, _, n, arrivals, dispatches = read_trace(path)
+    assert arrivals.shape == dispatches.shape == (2, 120)
+    assert np.array_equal(t, np.arange(120))
+    # one fleet per epoch, held over its slots
+    assert n[:, ::60].shape == (2, 2)
+    assert np.array_equal(n, np.repeat(n[:, ::60], 60, axis=1))
 
 
 def test_controller_consulted_once_per_epoch():
@@ -70,14 +114,16 @@ def test_controller_consulted_once_per_epoch():
         epoch_slots=30,
         horizon_slots=90,
         seed=1,
+        queue_bounds=[2.0, 2.0],
     )
     assert [e for e, _ in ctrl.epochs] == [0, 1, 2]
     # first observation reflects the initial allocation with empty queues
     assert ctrl.epochs[0][1] == ((3, 0), (2, 0))
 
 
-def test_static_run_keeps_allocation_flat():
-    traces = run_policy(
+def test_static_run_keeps_allocation_flat(tmp_path):
+    path = tmp_path / "trace.csv"
+    tally = run_policy(
         district=tiny_district(),
         processes=procs(),
         controller=StaticController(),
@@ -85,28 +131,36 @@ def test_static_run_keeps_allocation_flat():
         epoch_slots=30,
         horizon_slots=300,
         seed=2,
+        queue_bounds=[2.0, 2.0],
+        trace_path=str(path),
     )
-    assert (traces.n[0] == 3).all()
-    assert (traces.n[1] == 2).all()
+    n = read_trace(path)[2]
+    assert (n[0] == 3).all()
+    assert (n[1] == 2).all()
+    assert summarize(tally).n_mean == 5.0
 
 
-def test_seed_reproducibility_and_sensitivity():
+def test_seed_reproducibility_and_sensitivity(tmp_path):
     kwargs = dict(
         district=tiny_district(),
-        processes=None,
         controller=StaticController(),
         initial_allocation=[3, 2],
         epoch_slots=30,
         horizon_slots=600,
+        queue_bounds=[2.0, 2.0],
     )
-    a = run_policy(**{**kwargs, "processes": procs()}, seed=7)
-    b = run_policy(**{**kwargs, "processes": procs()}, seed=7)
-    c = run_policy(**{**kwargs, "processes": procs()}, seed=8)
-    assert np.array_equal(a.arrivals, b.arrivals)
-    assert np.array_equal(a.dispatches, b.dispatches)
-    assert np.array_equal(a.n, b.n)
-    assert summarize(a, [2.0, 2.0]) == summarize(b, [2.0, 2.0])
-    assert not np.array_equal(a.arrivals, c.arrivals)
+    reports, traces = {}, {}
+    for name, seed in (("a", 7), ("b", 7), ("c", 8)):
+        path = str(tmp_path / f"{name}.csv")
+        reports[name] = summarize(run_policy(**kwargs, processes=procs(), seed=seed, trace_path=path))
+        _, _, n, arrivals, dispatches = read_trace(path)
+        traces[name] = {"n": n, "arrivals": arrivals, "dispatches": dispatches}
+    a, b, c = traces["a"], traces["b"], traces["c"]
+    assert np.array_equal(a["arrivals"], b["arrivals"])
+    assert np.array_equal(a["dispatches"], b["dispatches"])
+    assert np.array_equal(a["n"], b["n"])
+    assert reports["a"] == reports["b"]
+    assert not np.array_equal(a["arrivals"], c["arrivals"])
 
 
 def test_trace_csv_layout(tmp_path):
@@ -119,9 +173,11 @@ def test_trace_csv_layout(tmp_path):
         epoch_slots=30,
         horizon_slots=60,
         seed=3,
+        queue_bounds=[2.0, 2.0],
+        trace_path=str(path),
     )
-    write_trace(str(path), traces)
-    q = queue_trace(traces.arrivals, traces.dispatches, [0, 0])
+    _, _, _, arrivals, dispatches = read_trace(path)
+    q = queue_trace(arrivals, dispatches, [0, 0])
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "q_1", "q_2", "n_1", "n_2", "arrivals_1", "arrivals_2", "dispatches_1", "dispatches_2"]
@@ -129,7 +185,7 @@ def test_trace_csv_layout(tmp_path):
     for slot, row in enumerate(rows[1:]):
         assert int(row[0]) == slot
         assert int(row[1]) == q[0, slot]
-        assert int(row[3]) == traces.n[0, slot // 30]
+        assert int(row[3]) == 3  # the static split's first center
 
 
 def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
@@ -137,7 +193,7 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
     cfg = replace(load_experiment_config("mmb"), controller="threshold")
     d = cfg.district.num_pdcs
     path = tmp_path / "trace.csv"
-    traces = run_policy(
+    tally = run_policy(
         cfg.district,
         cfg.make_processes(),
         cfg.build_controller(),
@@ -145,8 +201,9 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
         cfg.reward.epoch_slots,
         600,
         seed=3,
+        queue_bounds=cfg.queue_bounds,
+        trace_path=str(path),
     )
-    write_trace(str(path), traces)
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     rows = [[int(cell) for cell in row] for row in rows]
@@ -159,13 +216,15 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
     cells = np.array(rows).T
     assert np.array_equal(cells[0], np.arange(600))
     q, n, arrived, dispatched = cells[1:].reshape(4, d, 600)
-    assert np.array_equal(arrived, traces.arrivals)
-    assert np.array_equal(dispatched, traces.dispatches)
-    assert np.array_equal(n, np.repeat(traces.n, cfg.reward.epoch_slots, axis=1))
+    want_arrivals, want_dispatches, want_n = epoch_replay(cfg, 600, seed=3)
+    assert np.array_equal(arrived, want_arrivals)
+    assert np.array_equal(dispatched, want_dispatches)
+    assert np.array_equal(n, np.repeat(want_n, cfg.reward.epoch_slots, axis=1))
     assert (n != n[:, :1]).any()
     assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
-    waits = [fifo_waits(a, dsp) for a, dsp in zip(traces.arrivals, traces.dispatches)]
-    assert [len(w) for w in waits] == dispatched.sum(axis=1).tolist()
+    # every dispatch paired with its arrival: the queued rest is the last q
+    assert tally.w_count == dispatched.sum()
+    assert [len(w) for w in tally.waiting] == q[:, -1].tolist()
 
 
 def test_rejects_bad_horizon():
@@ -178,23 +237,29 @@ def test_rejects_bad_horizon():
             epoch_slots=0,
             horizon_slots=10,
             seed=0,
+            queue_bounds=[2.0, 2.0],
         )
 
 
 def test_run_policy_waits_match_a_per_package_replay(tmp_path):
-    path = tmp_path / "trace.csv"
-    traces = run_policy(
+    # 15-slot epochs, so that the 600 slots are one whole block of
+    # TRACE_BLOCK_EPOCHS epochs and a cut-short one
+    kwargs = dict(
         district=tiny_district(),
-        processes=procs(),
         controller=StaticController(),
         initial_allocation=[1, 1],
-        epoch_slots=30,
+        epoch_slots=15,
         horizon_slots=600,
         seed=9,
+        queue_bounds=[2.0, 2.0],
     )
-    write_trace(str(path), traces)
+    assert 600 // 15 > TRACE_BLOCK_EPOCHS
+    path = tmp_path / "trace.csv"
+    run_policy(**kwargs, processes=procs(), trace_path=str(path))
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
+    _, _, n, arrivals, dispatches = read_trace(path)
+    wants = []
     for pdc in (1, 2):
         waiting, want = deque(), []
         for row in rows:
@@ -204,11 +269,18 @@ def test_run_policy_waits_match_a_per_package_replay(tmp_path):
                 born = waiting.popleft()
                 want.append([born, t - born])
         assert any(w > 0 for _, w in want)
-        arrivals, dispatches = traces.arrivals[pdc - 1], traces.dispatches[pdc - 1]
-        # each warmup keeps the waits of the packages that arrived after it
-        for warmup in (0, 1, 250, 599):
+        wants.append(want)
+    # each warmup keeps the waits of the packages that arrived after it:
+    # per center, folding its own counts, and pooled, in the run's tally
+    for warmup in (0, 1, 250, 599):
+        for pdc, want in enumerate(wants):
             kept = [w for born, w in want if born >= warmup]
-            assert fifo_waits(arrivals, dispatches, warmup).tolist() == kept
+            tally = Tally([2.0], warmup)
+            tally.fold(arrivals[pdc : pdc + 1], dispatches[pdc : pdc + 1], n[pdc : pdc + 1, ::15].T)
+            assert (tally.w_count, tally.w_sum, tally.w_squares) == moments(kept)
+        pooled = [w for want in wants for born, w in want if born >= warmup]
+        tally = run_policy(**kwargs, processes=procs(), warmup_slots=warmup)
+        assert (tally.w_count, tally.w_sum, tally.w_squares) == moments(pooled)
 
 
 def test_run_epoch_counts_and_static_moves():
@@ -289,20 +361,27 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
 
 
 @pytest.mark.parametrize("controller", ["threshold", "ql"])
-def test_run_policy_matches_a_slot_by_slot_twin(controller):
-    # run_policy counts each epoch in one kernel call and summarize derives
-    # the rest; the twin steps one slot at a time and replays the FIFO
-    # queues package by package
+def test_run_policy_matches_a_slot_by_slot_twin(controller, tmp_path):
+    # run_policy counts each epoch in one kernel call and folds each block
+    # of epochs into its tally; the twin steps one slot at a time and
+    # replays the FIFO queues package by package. 70 epochs are two whole
+    # blocks and a cut-short one
     cfg = replace(load_experiment_config("mmb"), controller=controller)
     epoch_slots, d = cfg.reward.epoch_slots, cfg.district.num_pdcs
-    traces = run_policy(
+    horizon, warmup = 70 * epoch_slots, 100
+    assert 2 * TRACE_BLOCK_EPOCHS < 70 < 3 * TRACE_BLOCK_EPOCHS
+    path = tmp_path / "trace.csv"
+    tally = run_policy(
         cfg.district,
         cfg.make_processes(),
         cfg.build_controller(),
         cfg.initial_allocation,
         epoch_slots,
-        1800,
+        horizon,
         seed=3,
+        queue_bounds=cfg.queue_bounds,
+        warmup_slots=warmup,
+        trace_path=str(path),
     )
     env_ss, sched_ss = np.random.SeedSequence(3).spawn(2)
     sched_rng = np.random.default_rng(sched_ss)
@@ -311,7 +390,7 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
     arrivals, dispatches, q, n = [], [], [], []
     waiting = [deque() for _ in range(d)]
     waits = [[] for _ in range(d)]
-    for epoch in range(1800 // epoch_slots):
+    for epoch in range(horizon // epoch_slots):
         requests = ctrl.decide(epoch, observe(state))
         apply_allocation_moves(state, schedule(state, requests, sched_rng))
         for _ in range(epoch_slots):
@@ -326,20 +405,37 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
                     waits[i].append([born, t - born])
             q.append([len(queue) for queue in state.queues])
             n.append([count for count, _ in observe(state)])
-    assert np.array_equal(traces.arrivals, np.array(arrivals).T)
-    assert np.array_equal(traces.dispatches, np.array(dispatches).T)
-    assert np.array_equal(np.repeat(traces.n, epoch_slots, axis=1), np.array(n).T)
-    built = queue_trace(traces.arrivals, traces.dispatches, [0] * d)
+    _, traced_q, traced_n, traced_arrivals, traced_dispatches = read_trace(path)
+    assert np.array_equal(traced_arrivals, np.array(arrivals).T)
+    assert np.array_equal(traced_dispatches, np.array(dispatches).T)
+    assert np.array_equal(traced_n, np.array(n).T)
+    built = queue_trace(traced_arrivals, traced_dispatches, [0] * d)
     assert np.array_equal(built, np.array(q).T) and built.flags.c_contiguous
-    pairs = zip(traces.arrivals, traces.dispatches)
-    assert [fifo_waits(a, dsp).tolist() for a, dsp in pairs] == [[w for _, w in x] for x in waits]
+    assert np.array_equal(traced_q, built)
+    # per center, its counts folded block by block pair as the twin's queue did
+    for i in range(d):
+        per_center = Tally(cfg.queue_bounds[i : i + 1])
+        for first in range(0, horizon, TRACE_BLOCK_EPOCHS * epoch_slots):
+            block = slice(first, first + TRACE_BLOCK_EPOCHS * epoch_slots)
+            per_center.fold(
+                traced_arrivals[i : i + 1, block],
+                traced_dispatches[i : i + 1, block],
+                traced_n[i : i + 1, block][:, ::epoch_slots].T,
+            )
+        got = (per_center.w_count, per_center.w_sum, per_center.w_squares)
+        assert got == moments([w for _, w in waits[i]])
+        assert per_center.waiting[0].tolist() == list(waiting[i])
+    # the queues still hold packages at a block's end
+    block_ends = np.array(q)[TRACE_BLOCK_EPOCHS * epoch_slots - 1 :: TRACE_BLOCK_EPOCHS * epoch_slots]
+    assert block_ends.any()
     assert len(set(map(tuple, n))) > 1 and max(map(len, waits)) > 100
 
     # summarize reports what the twin saw
-    warmup = 100
-    report = summarize(traces, cfg.queue_bounds, warmup)
+    report = summarize(tally)
     q_after = np.array(q)[warmup:]
-    kept = np.array([w for per_pdc in waits for born, w in per_pdc if born >= warmup], dtype=float)
+    kept = [w for per_pdc in waits for born, w in per_pdc if born >= warmup]
+    assert (tally.w_count, tally.w_sum, tally.w_squares) == moments(kept)
+    kept = np.array(kept, dtype=float)
     over = (q_after >= np.array(cfg.queue_bounds)).mean(axis=0)
     assert report.violation == over.tolist()
     assert report.q_mean == pytest.approx(q_after.mean(), rel=1e-12)
@@ -347,4 +443,22 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller):
     assert report.w_mean == pytest.approx(kept.mean(), rel=1e-12)
     assert report.w_std == pytest.approx(kept.std(), rel=1e-12)
     assert report.n_mean == pytest.approx(np.array(n)[warmup:].sum(axis=1).mean(), rel=1e-12)
-    assert report.horizon_slots == 1800 - warmup
+    assert report.horizon_slots == horizon - warmup
+
+
+def test_cell_memory_does_not_grow_with_horizon():
+    # what a cell holds per slot lives for one block: a tenfold horizon
+    # raises the peak of traced allocations by less than 1 MB
+    cfg = replace(load_experiment_config("bernoulli"), controller="threshold")
+    _run_report(replace(cfg, horizon_slots=2000), None)  # what a first run sets up once
+    peaks = []
+    for horizon in (20_000, 200_000):
+        cell = replace(cfg, horizon_slots=horizon)
+        tracemalloc.start()
+        try:
+            report = _run_report(cell, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.horizon_slots >= horizon - cfg.warmup_slots
+    assert peaks[1] - peaks[0] < 2**20, peaks
