@@ -121,19 +121,7 @@ def run_cells(cells: list, slots: int) -> list:
 
 
 def _run_report(cfg: ExperimentConfig, nets, trace_path=None):
-    tally = run_policy(
-        cfg.district,
-        cfg.make_processes(),
-        cfg.build_controller(nets),
-        cfg.initial_allocation,
-        cfg.reward.epoch_slots,
-        cfg.horizon_slots,
-        cfg.seeds[0],
-        cfg.queue_bounds,
-        cfg.warmup_slots,
-        trace_path,
-    )
-    return summarize(tally)
+    return summarize(run_policy(cfg, cfg.build_controller(nets), cfg.seeds[0], trace_path))
 
 
 def _write_csv(path: str, header: list, rows) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import reprlib
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -150,13 +151,16 @@ def _number(value, name: str, kind=float, low=None, high=None):
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} missing or not a number: {value!r}") from exc
+    # JSON true would read as 1; NaN and Infinity would pass a missing bound
+    # (int() refuses both)
+    if isinstance(value, bool) or kind is float and not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number: {value!r}")
     # int() would truncate 40.9 to 40
     if kind is int and isinstance(value, float) and x != value:
         raise ConfigError(f"{name} must be a whole number: {value!r}")
-    # written so that NaN fails every bound
-    if low is not None and not x >= low:
+    if low is not None and x < low:
         raise ConfigError(f"{name} must be >= {low}")
-    if high is not None and not x <= high:
+    if high is not None and x > high:
         raise ConfigError(f"{name} must be <= {high}")
     return x
 

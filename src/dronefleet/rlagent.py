@@ -234,6 +234,8 @@ def checkpoint_from_dict(doc) -> tuple[QNetwork, int, dict]:
         (s,) for s in sizes[1:]
     ]:
         raise CheckpointError("checkpoint layer shapes do not match layer_sizes")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise CheckpointError("checkpoint weights or biases are not all finite")
     if sizes[:1] != [STATE_SIZE] or sizes[-1:] != [NUM_ACTIONS]:
         raise CheckpointError(
             f"checkpoint layer sizes {sizes} do not map {STATE_SIZE} state inputs "

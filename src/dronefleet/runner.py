@@ -1,30 +1,46 @@
-"""Drive a controller against the simulator and tally what the run counted."""
+"""Drive a controller against the simulator and tally what the run counted.
+
+A scenario (configs.ExperimentConfig, or any object with its fields) gives a
+run its district, make_processes(), initial_allocation, reward.epoch_slots,
+horizon_slots, queue_bounds and warmup_slots. Evaluation (run_policy) and
+training (training.train) both step its epochs through run_epochs.
+"""
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from itertools import count
 
 import numpy as np
 
 from . import simcore
 from .controllers import Controller
-from .geography import District
 from .metrics import Tally
 from .scheduler import schedule
-from .simcore import SimState, apply_allocation_moves, init_sim, observe
+from .simcore import apply_allocation_moves, init_sim, observe
 
 
-def run_epoch(
-    state: SimState, requests: list[int], rng: np.random.Generator, counts: np.ndarray
-) -> None:
-    """Schedule and apply the fleet moves for `requests`, then step one epoch
-    of len(counts) slots in one kernel call. Each slot's arrival and dispatch
-    counts go into `counts`, an int64 array of shape (epoch_slots, 2, D)."""
-    apply_allocation_moves(state, schedule(state, requests, rng))
-    arrived, dispatched = simcore.step_slot(state, len(counts))
-    # through an int64 array: half the time of a list into the strided view
-    counts[:, 0] = np.array(arrived, dtype=np.int64).reshape(len(counts), -1)
-    counts[:, 1] = np.array(dispatched, dtype=np.int64).reshape(len(counts), -1)
+def run_epochs(scenario, env_ss: np.random.SeedSequence, rng: np.random.Generator, counts):
+    """Step the scenario's epochs, one per request list sent in.
+
+    Yields the (allocated drones, queued packages) observations per PDC of a
+    fresh state seeded from env_ss. Each `send(requests)` then schedules and
+    applies the fleet moves with `rng` and steps the n-th epoch in one
+    kernel call, its per-slot arrival and dispatch counts going into
+    counts[n % len(counts)], an int64 (epoch_slots, 2, D) window; it yields
+    the observations after the epoch."""
+    state = init_sim(
+        scenario.district, scenario.make_processes(), scenario.initial_allocation, env_ss
+    )
+    requests = yield observe(state)
+    for epoch in count():
+        window = counts[epoch % len(counts)]
+        apply_allocation_moves(state, schedule(state, requests, rng))
+        arrived, dispatched = simcore.step_slot(state, len(window))
+        # through an int64 array: half the time of a list into the strided view
+        window[:, 0] = np.array(arrived, dtype=np.int64).reshape(len(window), -1)
+        window[:, 1] = np.array(dispatched, dtype=np.int64).reshape(len(window), -1)
+        requests = yield observe(state)
 
 
 # epochs counted, folded and written to trace.csv at a time: what a run holds
@@ -33,38 +49,31 @@ TRACE_BLOCK_EPOCHS = 32
 
 
 def run_policy(
-    district: District,
-    processes: list,
+    scenario,
     controller: Controller,
-    initial_allocation: list[int],
-    epoch_slots: int,
-    horizon_slots: int,
     seed: int | np.random.SeedSequence,
-    queue_bounds: list[float],
-    warmup_slots: int = 0,
     trace_path: str | None = None,
 ) -> Tally:
-    """Run one fixed-policy episode of at least horizon_slots and return its
-    tally of the slots from warmup_slots on.
+    """Run one fixed-policy episode of at least the scenario's horizon_slots
+    and return its tally of the slots from warmup_slots on.
 
-    The controller is consulted every epoch_slots slots; the horizon is
-    rounded up to whole epochs. Epochs run TRACE_BLOCK_EPOCHS at a time into
-    one reused count buffer; each block is folded into the tally and, given
-    trace_path, written there as its trace.csv rows.
+    The controller is consulted every epoch; the horizon is rounded up to
+    whole epochs. Epochs run TRACE_BLOCK_EPOCHS at a time into one reused
+    count buffer; each block is folded into the tally and, given trace_path,
+    written there as its trace.csv rows.
     """
-    if epoch_slots < 1 or horizon_slots < 1:
+    epoch_slots, d = scenario.reward.epoch_slots, scenario.district.num_pdcs
+    if epoch_slots < 1 or scenario.horizon_slots < 1:
         raise ValueError("epoch and horizon must be positive")
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     env_ss, sched_ss = master.spawn(2)
-    sched_rng = np.random.default_rng(sched_ss)
-    state = init_sim(district, processes, initial_allocation, env_ss)
-    tally = Tally(queue_bounds, warmup_slots)
+    counts = np.empty((TRACE_BLOCK_EPOCHS, epoch_slots, 2, d), dtype=np.int64)
+    run = run_epochs(scenario, env_ss, np.random.default_rng(sched_ss), counts)
+    tally = Tally(scenario.queue_bounds, scenario.warmup_slots)
 
-    d = district.num_pdcs
-    epochs = -(-horizon_slots // epoch_slots)
-    counts = np.empty((TRACE_BLOCK_EPOCHS * epoch_slots, 2, d), dtype=np.int64)
+    epochs = -(-scenario.horizon_slots // epoch_slots)
     n = np.empty((TRACE_BLOCK_EPOCHS, d), dtype=np.int64)
-    observations = observe(state)
+    observations = next(run)
     with open(trace_path, "w", newline="") if trace_path else nullcontext() as trace:
         if trace:
             header = ["t"]
@@ -74,13 +83,10 @@ def run_policy(
         for first in range(0, epochs, TRACE_BLOCK_EPOCHS):
             block = min(TRACE_BLOCK_EPOCHS, epochs - first)
             for i in range(block):
-                deltas = controller.decide(first + i, observations)
-                window = slice(i * epoch_slots, (i + 1) * epoch_slots)
-                run_epoch(state, deltas, sched_rng, counts[window])
-                observations = observe(state)
+                observations = run.send(controller.decide(first + i, observations))
                 # homes change only between epochs
                 n[i] = [held for held, _ in observations]
-            arrivals, dispatches = counts[: block * epoch_slots].transpose(1, 2, 0)
+            arrivals, dispatches = counts[:block].reshape(-1, 2, d).transpose(1, 2, 0)
             q = tally.fold(arrivals, dispatches, n[:block])
             if trace:
                 _write_rows(trace, first * epoch_slots, q, n[:block], arrivals, dispatches)

@@ -41,8 +41,7 @@ from .rlagent import (
     encode_state,
     select_action,
 )
-from .runner import run_epoch
-from .simcore import init_sim, observe
+from .runner import run_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -83,12 +82,10 @@ def epsilon_at(step: int, cfg: TrainConfig) -> float:
 def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     """Train one agent per PDC; returns the online nets and learning curve.
 
-    `scenario` supplies the district, fresh arrival processes, reward
-    parameters, queue bounds, action delta and initial allocation (see
-    configs.ExperimentConfig).
+    `scenario` supplies what runner.run_epochs reads, and the reward
+    parameters, queue bounds and action delta (see configs.ExperimentConfig).
     """
-    district = scenario.district
-    d = district.num_pdcs
+    d = scenario.district.num_pdcs
     reward_params: RewardParams = scenario.reward
     epoch_slots = reward_params.epoch_slots
     bounds = np.asarray(scenario.queue_bounds)
@@ -106,7 +103,7 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     adam = init_adam(net, lr=cfg.learning_rate)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     sched_rng = np.random.default_rng(master.spawn(1)[0])
-    counts = np.empty((epoch_slots, 2, d), dtype=np.int64)  # one epoch's, reused
+    counts = np.empty((1, epoch_slots, 2, d), dtype=np.int64)  # one epoch's, reused
 
     learn_after = max(cfg.min_buffer, cfg.batch_size)
     window = deque(maxlen=10)  # (over_slots, total_slots) per recent episode
@@ -114,28 +111,23 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     global_step = 0
 
     for episode in range(cfg.episodes):
-        state = init_sim(
-            district,
-            scenario.make_processes(),
-            scenario.initial_allocation,
-            master.spawn(1)[0],
-        )
+        run = run_epochs(scenario, master.spawn(1)[0], sched_rng, counts)
         reward_total = 0.0
         over_ge = 0
         steps = 0
-        n, q = zip(*observe(state))
+        n, q = zip(*next(run))
         encoded = encode_state(n, q)
 
         for _ in range(cfg.max_steps_per_episode):
             eps = epsilon_at(global_step, cfg)
             actions = select_action(net, encoded, eps, action_rngs)
             deltas = [action_delta(a, scenario.delta) for a in actions.tolist()]
-            run_epoch(state, deltas, sched_rng, counts)
+            observations = run.send(deltas)
             # the queues start the epoch where the last observation saw them
-            q_window = queue_trace(counts[:, 0].T, counts[:, 1].T, q)
+            q_window = queue_trace(counts[0, :, 0].T, counts[0, :, 1].T, q)
 
             saturated = bool((q_window > cfg.saturation_cutoff).any())
-            n, q = zip(*observe(state))
+            n, q = zip(*observations)
             next_encoded = encode_state(n, q)
             rewards = compute_reward(q_window, bounds, n, reward_params)
             for r in rewards.tolist():  # agent by agent, as a running float sum

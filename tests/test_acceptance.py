@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -253,17 +254,8 @@ def test_criterion_7_baselines_under_shifting_demand(capsys):
         ("static", StaticController()),
         ("threshold", ThresholdController(cfg.queue_bounds, cfg.delta)),
     ):
-        tally = run_policy(
-            cfg.district,
-            cfg.make_processes(),
-            controller,
-            cfg.initial_allocation,
-            cfg.reward.epoch_slots,
-            60_000,
-            np.random.SeedSequence(7),
-            cfg.queue_bounds,
-            warmup_slots=1000,
-        )
+        scenario = replace(cfg, horizon_slots=60_000, warmup_slots=1000)
+        tally = run_policy(scenario, controller, np.random.SeedSequence(7))
         reports[name] = summarize(tally)
     sv = reports["static"].violation
     saturated = sum(v >= 0.9 for v in sv)
@@ -385,17 +377,8 @@ def _train_and_evaluate(seed: int):
     cfg = load_experiment_config("bernoulli")
     result = train(cfg, TrainConfig(episodes=250, max_steps_per_episode=400), seed=seed)
     controller = GreedyPolicyController(result.nets, cfg.delta)
-    tally = run_policy(
-        cfg.district,
-        cfg.make_processes(),
-        controller,
-        cfg.initial_allocation,
-        cfg.reward.epoch_slots,
-        20_000,
-        np.random.SeedSequence(1000 + seed),
-        cfg.queue_bounds,
-        warmup_slots=1000,
-    )
+    scenario = replace(cfg, horizon_slots=20_000, warmup_slots=1000)
+    tally = run_policy(scenario, controller, np.random.SeedSequence(1000 + seed))
     return seed, summarize(tally)
 
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -162,6 +163,8 @@ ARRIVALS = {
         "batch_means": [55, 50, 75, 90],
     },
 }
+# what each bad value adds to a test id: the "x" cases keep their old ids
+BAD_NUMBERS = {"x": "", True: "=true", math.nan: "=NaN", math.inf: "=Infinity"}
 NUMERIC_FIELDS = [
     ("bernoulli", path)
     for path in [
@@ -189,12 +192,17 @@ NUMERIC_FIELDS = [
     ]
     for key in keys
 ]
+NUMERIC_CASES = [(kind, path, value) for kind, path in NUMERIC_FIELDS for value in BAD_NUMBERS]
 
 
 @pytest.mark.parametrize(
-    "kind, path", NUMERIC_FIELDS, ids=[f"{k}:" + ".".join(map(str, p)) for k, p in NUMERIC_FIELDS]
+    "kind, path, value",
+    NUMERIC_CASES,
+    ids=[f"{k}:" + ".".join(map(str, p)) + BAD_NUMBERS[v] for k, p, v in NUMERIC_CASES],
 )
-def test_non_numeric_config_value_exits_2(tmp_path, capsys, kind, path):
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, kind, path, value):
+    # json.dumps writes NaN and Infinity as JSON's extensions, which json.load
+    # reads back as floats; true would read as 1
     doc = base_doc(
         arrival=copy.deepcopy(ARRIVALS[kind]),
         controller="threshold",
@@ -205,16 +213,20 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, kind, path):
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = "x"
-    argv = ["eval", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "bad")]
-    assert main(argv) == 2
+    node[path[-1]] = value
+    out = tmp_path / "bad"
+    assert main(["eval", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    name = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+    assert err.startswith(f"config error: {name} ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
-# train settings that must be rejected: not a number, or out of range
+# train settings that must be rejected: not a number (JSON true, NaN and
+# Infinity included), or out of range
 BAD_TRAIN_VALUES = [
-    (key, "x")
+    (key, value)
+    for value in ("x", True, math.nan, math.inf)
     for key in (
         "episodes",
         "max_steps_per_episode",
@@ -657,7 +669,10 @@ def test_cli_rejects_checkpoints_of_mixed_shapes(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_malformed_checkpoint_error_names_the_file(tmp_path, capsys):
+def _eval_with_pdc3_edited(tmp_path, capsys, edit) -> str:
+    """Exit 3 and one line of stderr, naming the file, from an eval of four
+    saved checkpoints, the third of them passed through `edit`. Returns the
+    line."""
     ckpts = tmp_path / "ckpts"
     ckpts.mkdir()
     for pdc in range(1, 5):
@@ -665,14 +680,32 @@ def test_malformed_checkpoint_error_names_the_file(tmp_path, capsys):
         save_checkpoint(str(ckpts / f"agent_pdc{pdc}.json"), net, 1, {})
     bad = ckpts / "agent_pdc3.json"
     doc = json.loads(bad.read_text())
-    del doc["weights"]
+    edit(doc)
     bad.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert main([*_eval_rl(str(ckpts)), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
-    assert str(bad) in err and "'weights'" in err and "Traceback" not in err
+    assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+    return err
+
+
+def test_malformed_checkpoint_error_names_the_file(tmp_path, capsys):
+    err = _eval_with_pdc3_edited(tmp_path, capsys, lambda doc: doc.pop("weights"))
+    assert "'weights'" in err
+
+
+@pytest.mark.parametrize("key, value", [("weights", math.nan), ("biases", math.inf)])
+def test_non_finite_checkpoint_error_names_the_file(tmp_path, capsys, key, value):
+    def edit(doc):
+        layer = doc[key][-1]
+        if key == "weights":
+            layer = layer[0]
+        layer[0] = value
+
+    err = _eval_with_pdc3_edited(tmp_path, capsys, edit)
+    assert "not all finite" in err
 
 
 @pytest.mark.parametrize("key", ["arrival.type", "controller"])

@@ -3,6 +3,7 @@ import io
 import tracemalloc
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
 from dronefleet.metrics import Tally, queue_trace, summarize
-from dronefleet.runner import TRACE_BLOCK_EPOCHS, run_epoch, run_policy
+from dronefleet.runner import TRACE_BLOCK_EPOCHS, run_epochs, run_policy
 from dronefleet.scheduler import schedule
 from dronefleet.simcore import apply_allocation_moves, init_sim, observe, step_slot
 
@@ -39,6 +40,20 @@ def procs():
     ]
 
 
+def tiny_scenario(epoch_slots=30, horizon_slots=300, initial_allocation=(3, 2), warmup_slots=0):
+    """The two-center district as a scenario, the fields run_policy and
+    run_epochs read."""
+    return SimpleNamespace(
+        district=tiny_district(),
+        make_processes=procs,
+        initial_allocation=list(initial_allocation),
+        reward=SimpleNamespace(epoch_slots=epoch_slots),
+        horizon_slots=horizon_slots,
+        queue_bounds=[2.0, 2.0],
+        warmup_slots=warmup_slots,
+    )
+
+
 def read_trace(path):
     """trace.csv as arrays: t, then the (D, slots) q, n, arrivals and
     dispatches columns."""
@@ -55,21 +70,20 @@ def moments(waits) -> tuple[int, int, int]:
 
 
 def epoch_replay(cfg, horizon, seed):
-    """The whole record of a run_policy run: run_epoch over every epoch from
-    the same seeds, into (D, slots) arrivals and dispatches and the
-    (D, epochs) drones each center held."""
+    """The whole record of a run_policy run: run_epochs over every epoch from
+    the same seeds into one window each, as (D, slots) arrivals and
+    dispatches and the (D, epochs) drones each center held."""
     env_ss, sched_ss = np.random.SeedSequence(seed).spawn(2)
-    sched_rng = np.random.default_rng(sched_ss)
-    state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation, env_ss)
-    ctrl = cfg.build_controller()
     epoch_slots, d = cfg.reward.epoch_slots, cfg.district.num_pdcs
-    counts, n = [], []
-    for epoch in range(horizon // epoch_slots):
-        block = np.empty((epoch_slots, 2, d), dtype=np.int64)
-        run_epoch(state, ctrl.decide(epoch, observe(state)), sched_rng, block)
-        counts.append(block)
-        n.append([held for held, _ in observe(state)])
-    counts = np.concatenate(counts)
+    epochs = horizon // epoch_slots
+    counts = np.empty((epochs, epoch_slots, 2, d), dtype=np.int64)
+    run = run_epochs(cfg, env_ss, np.random.default_rng(sched_ss), counts)
+    ctrl = cfg.build_controller()
+    observations, n = next(run), []
+    for epoch in range(epochs):
+        observations = run.send(ctrl.decide(epoch, observations))
+        n.append([held for held, _ in observations])
+    counts = counts.reshape(-1, 2, d)
     return counts[:, 0].T, counts[:, 1].T, np.array(n).T
 
 
@@ -85,15 +99,7 @@ class RecordingController:
 def test_horizon_rounds_up_to_whole_epochs(tmp_path):
     path = tmp_path / "trace.csv"
     tally = run_policy(
-        district=tiny_district(),
-        processes=procs(),
-        controller=StaticController(),
-        initial_allocation=[3, 2],
-        epoch_slots=60,
-        horizon_slots=61,
-        seed=0,
-        queue_bounds=[2.0, 2.0],
-        trace_path=str(path),
+        tiny_scenario(epoch_slots=60, horizon_slots=61), StaticController(), 0, str(path)
     )
     assert tally.slots == summarize(tally).horizon_slots == 120
     t, _, n, arrivals, dispatches = read_trace(path)
@@ -106,16 +112,7 @@ def test_horizon_rounds_up_to_whole_epochs(tmp_path):
 
 def test_controller_consulted_once_per_epoch():
     ctrl = RecordingController()
-    run_policy(
-        district=tiny_district(),
-        processes=procs(),
-        controller=ctrl,
-        initial_allocation=[3, 2],
-        epoch_slots=30,
-        horizon_slots=90,
-        seed=1,
-        queue_bounds=[2.0, 2.0],
-    )
+    run_policy(tiny_scenario(horizon_slots=90), ctrl, seed=1)
     assert [e for e, _ in ctrl.epochs] == [0, 1, 2]
     # first observation reflects the initial allocation with empty queues
     assert ctrl.epochs[0][1] == ((3, 0), (2, 0))
@@ -123,17 +120,7 @@ def test_controller_consulted_once_per_epoch():
 
 def test_static_run_keeps_allocation_flat(tmp_path):
     path = tmp_path / "trace.csv"
-    tally = run_policy(
-        district=tiny_district(),
-        processes=procs(),
-        controller=StaticController(),
-        initial_allocation=[3, 2],
-        epoch_slots=30,
-        horizon_slots=300,
-        seed=2,
-        queue_bounds=[2.0, 2.0],
-        trace_path=str(path),
-    )
+    tally = run_policy(tiny_scenario(), StaticController(), seed=2, trace_path=str(path))
     n = read_trace(path)[2]
     assert (n[0] == 3).all()
     assert (n[1] == 2).all()
@@ -141,18 +128,11 @@ def test_static_run_keeps_allocation_flat(tmp_path):
 
 
 def test_seed_reproducibility_and_sensitivity(tmp_path):
-    kwargs = dict(
-        district=tiny_district(),
-        controller=StaticController(),
-        initial_allocation=[3, 2],
-        epoch_slots=30,
-        horizon_slots=600,
-        queue_bounds=[2.0, 2.0],
-    )
+    scenario = tiny_scenario(horizon_slots=600)
     reports, traces = {}, {}
     for name, seed in (("a", 7), ("b", 7), ("c", 8)):
         path = str(tmp_path / f"{name}.csv")
-        reports[name] = summarize(run_policy(**kwargs, processes=procs(), seed=seed, trace_path=path))
+        reports[name] = summarize(run_policy(scenario, StaticController(), seed, path))
         _, _, n, arrivals, dispatches = read_trace(path)
         traces[name] = {"n": n, "arrivals": arrivals, "dispatches": dispatches}
     a, b, c = traces["a"], traces["b"], traces["c"]
@@ -165,17 +145,7 @@ def test_seed_reproducibility_and_sensitivity(tmp_path):
 
 def test_trace_csv_layout(tmp_path):
     path = tmp_path / "trace.csv"
-    traces = run_policy(
-        district=tiny_district(),
-        processes=procs(),
-        controller=StaticController(),
-        initial_allocation=[3, 2],
-        epoch_slots=30,
-        horizon_slots=60,
-        seed=3,
-        queue_bounds=[2.0, 2.0],
-        trace_path=str(path),
-    )
+    run_policy(tiny_scenario(horizon_slots=60), StaticController(), seed=3, trace_path=str(path))
     _, _, _, arrivals, dispatches = read_trace(path)
     q = queue_trace(arrivals, dispatches, [0, 0])
     with open(path) as fh:
@@ -193,17 +163,8 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
     cfg = replace(load_experiment_config("mmb"), controller="threshold")
     d = cfg.district.num_pdcs
     path = tmp_path / "trace.csv"
-    tally = run_policy(
-        cfg.district,
-        cfg.make_processes(),
-        cfg.build_controller(),
-        cfg.initial_allocation,
-        cfg.reward.epoch_slots,
-        600,
-        seed=3,
-        queue_bounds=cfg.queue_bounds,
-        trace_path=str(path),
-    )
+    scenario = replace(cfg, horizon_slots=600, warmup_slots=0)
+    tally = run_policy(scenario, cfg.build_controller(), seed=3, trace_path=str(path))
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     rows = [[int(cell) for cell in row] for row in rows]
@@ -229,33 +190,17 @@ def test_trace_csv_bytes_are_what_csv_writer_writes(tmp_path):
 
 def test_rejects_bad_horizon():
     with pytest.raises(ValueError):
-        run_policy(
-            district=tiny_district(),
-            processes=procs(),
-            controller=StaticController(),
-            initial_allocation=[3, 2],
-            epoch_slots=0,
-            horizon_slots=10,
-            seed=0,
-            queue_bounds=[2.0, 2.0],
-        )
+        run_policy(tiny_scenario(epoch_slots=0, horizon_slots=10), StaticController(), 0)
 
 
 def test_run_policy_waits_match_a_per_package_replay(tmp_path):
     # 15-slot epochs, so that the 600 slots are one whole block of
     # TRACE_BLOCK_EPOCHS epochs and a cut-short one
-    kwargs = dict(
-        district=tiny_district(),
-        controller=StaticController(),
-        initial_allocation=[1, 1],
-        epoch_slots=15,
-        horizon_slots=600,
-        seed=9,
-        queue_bounds=[2.0, 2.0],
-    )
+    kwargs = dict(epoch_slots=15, horizon_slots=600, initial_allocation=[1, 1])
+    scenario = tiny_scenario(**kwargs)
     assert 600 // 15 > TRACE_BLOCK_EPOCHS
     path = tmp_path / "trace.csv"
-    run_policy(**kwargs, processes=procs(), trace_path=str(path))
+    run_policy(scenario, StaticController(), seed=9, trace_path=str(path))
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     _, _, n, arrivals, dispatches = read_trace(path)
@@ -279,25 +224,24 @@ def test_run_policy_waits_match_a_per_package_replay(tmp_path):
             tally.fold(arrivals[pdc : pdc + 1], dispatches[pdc : pdc + 1], n[pdc : pdc + 1, ::15].T)
             assert (tally.w_count, tally.w_sum, tally.w_squares) == moments(kept)
         pooled = [w for want in wants for born, w in want if born >= warmup]
-        tally = run_policy(**kwargs, processes=procs(), warmup_slots=warmup)
+        tally = run_policy(tiny_scenario(**kwargs, warmup_slots=warmup), StaticController(), 9)
         assert (tally.w_count, tally.w_sum, tally.w_squares) == moments(pooled)
 
 
-def test_run_epoch_counts_and_static_moves():
-    district = tiny_district()
-    state = init_sim(district, procs(), [3, 2], np.random.SeedSequence(4))
-    counts = np.empty((30, 2, 2), dtype=np.int64)
-    run_epoch(state, [0, 0], np.random.default_rng(0), counts)
-    arrived, dispatched = counts[:, 0].T, counts[:, 1].T
+def test_run_epochs_counts_and_static_moves():
+    counts = np.empty((1, 30, 2, 2), dtype=np.int64)
+    run = run_epochs(tiny_scenario(), np.random.SeedSequence(4), np.random.default_rng(0), counts)
+    assert next(run) == [(3, 0), (2, 0)]
+    observations = run.send([0, 0])
+    arrived, dispatched = counts[0, :, 0].T, counts[0, :, 1].T
     q = queue_trace(arrived, dispatched, [0, 0])
     assert q.shape == arrived.shape == dispatched.shape == (2, 30)
-    assert state.t == 30
-    # queue balance within the epoch
+    # queue balance within the epoch; the sixth drone stays at the port
     assert np.array_equal(q, np.cumsum(arrived - dispatched, axis=1))
-    assert np.bincount(state.home).tolist() == [1, 3, 2]
+    assert observations == [(3, q[0, -1]), (2, q[1, -1])]
 
 
-def test_run_epoch_matches_a_slot_by_slot_twin():
+def test_run_epochs_matches_a_slot_by_slot_twin():
     # a busy Markov-modulated PDC and a Bernoulli one, served by few drones,
     # so that the later epochs start with packages queued
     def busy_procs():
@@ -315,17 +259,20 @@ def test_run_epoch_matches_a_slot_by_slot_twin():
             ArrivalProcess(truck_interval=10, batch_mean=8, batch_half_width=2, p_high=0.8),
         ]
 
-    district = tiny_district()
-    state = init_sim(district, busy_procs(), [1, 1], np.random.SeedSequence(11))
-    twin = init_sim(district, busy_procs(), [1, 1], np.random.SeedSequence(11))
+    scenario = tiny_scenario(initial_allocation=[1, 1])
+    scenario.make_processes = busy_procs
+    # three windows for four epochs: the fourth epoch reuses the first window
+    counts = np.empty((3, 30, 2, 2), dtype=np.int64)
+    run = run_epochs(scenario, np.random.SeedSequence(11), np.random.default_rng(0), counts)
+    twin = init_sim(tiny_district(), busy_procs(), [1, 1], np.random.SeedSequence(11))
+    twin_rng = np.random.default_rng(0)
+    observations = next(run)
     for epoch, requests in enumerate([[0, 0], [1, -1], [-1, 1], [0, 0]]):
-        q_start = [len(queue) for queue in state.queues]
-        counts = np.empty((30, 2, 2), dtype=np.int64)
-        run_epoch(state, requests, np.random.default_rng(epoch), counts)
-        arrived, dispatched = counts[:, 0].T, counts[:, 1].T
+        q_start = [queued for _, queued in observations]
+        observations = run.send(requests)
+        arrived, dispatched = counts[epoch % 3, :, 0].T, counts[epoch % 3, :, 1].T
         q = queue_trace(arrived, dispatched, q_start)
-        moves = schedule(twin, requests, np.random.default_rng(epoch))
-        apply_allocation_moves(twin, moves)
+        apply_allocation_moves(twin, schedule(twin, requests, twin_rng))
         if epoch:
             assert any(twin.queues)  # the epoch starts from queued packages
         rows = []
@@ -337,7 +284,37 @@ def test_run_epoch_matches_a_slot_by_slot_twin():
         assert np.array_equal(dispatched, want_d)
         assert np.array_equal(q, want_q)
         assert q.dtype == arrived.dtype == dispatched.dtype == np.int64
-    assert state.t == twin.t == 120
+        assert observations == observe(twin)
+    assert twin.t == 120
+
+
+def test_train_and_eval_read_the_same_epochs_alike():
+    # train builds each epoch's queue trace from the queues it observed
+    # before the epoch; run_policy's tally builds each block's from the
+    # arrivals it carries in its FIFO queues. Fixed requests over more than
+    # one block must give both the same trace
+    cfg = load_experiment_config("mmb")
+    epoch_slots, d = cfg.reward.epoch_slots, cfg.district.num_pdcs
+    epochs = TRACE_BLOCK_EPOCHS + 8
+    counts = np.empty((TRACE_BLOCK_EPOCHS, epoch_slots, 2, d), dtype=np.int64)
+    run = run_epochs(cfg, np.random.SeedSequence(5), np.random.default_rng(6), counts)
+    tally = Tally(cfg.queue_bounds)
+    q = [queued for _, queued in next(run)]
+    per_epoch, folded, n = [], [], []
+    for epoch in range(epochs):
+        observations = run.send([[2, -2, 0, 0], [0, 0, -1, 1]][epoch % 2])
+        window = counts[epoch % TRACE_BLOCK_EPOCHS]
+        per_epoch.append(queue_trace(window[:, 0].T, window[:, 1].T, q))
+        n.append([held for held, _ in observations])
+        q = [queued for _, queued in observations]
+        assert per_epoch[-1][:, -1].tolist() == q
+        if len(n) == TRACE_BLOCK_EPOCHS or epoch == epochs - 1:
+            block = counts[: len(n)].reshape(-1, 2, d)
+            folded.append(tally.fold(block[:, 0].T, block[:, 1].T, np.array(n)))
+            n = []
+            assert any(q)  # packages queued across the block's end
+    assert len(folded) == 2
+    assert np.array_equal(np.concatenate(per_epoch, axis=1), np.concatenate(folded, axis=1))
 
 
 @pytest.mark.parametrize("controller", ["static", "threshold", "ql"])
@@ -351,11 +328,11 @@ def test_fleet_size_holds_through_every_epoch(controller, fleet):
         cfg.district, cfg.make_processes(), cfg.initial_allocation, np.random.SeedSequence(5)
     )
     rng = np.random.default_rng(6)
-    d = cfg.district.num_pdcs
     assert len(state.home) == fleet
     for epoch in range(20):
-        counts = np.empty((cfg.reward.epoch_slots, 2, d), dtype=np.int64)
-        run_epoch(state, ctrl.decide(epoch, observe(state)), rng, counts)
+        # one epoch as run_epochs steps it
+        apply_allocation_moves(state, schedule(state, ctrl.decide(epoch, observe(state)), rng))
+        step_slot(state, cfg.reward.epoch_slots)
         assert len(state.home) == fleet
         assert sum(n for n, _ in observe(state)) + state.home.count(0) == fleet
 
@@ -371,18 +348,8 @@ def test_run_policy_matches_a_slot_by_slot_twin(controller, tmp_path):
     horizon, warmup = 70 * epoch_slots, 100
     assert 2 * TRACE_BLOCK_EPOCHS < 70 < 3 * TRACE_BLOCK_EPOCHS
     path = tmp_path / "trace.csv"
-    tally = run_policy(
-        cfg.district,
-        cfg.make_processes(),
-        cfg.build_controller(),
-        cfg.initial_allocation,
-        epoch_slots,
-        horizon,
-        seed=3,
-        queue_bounds=cfg.queue_bounds,
-        warmup_slots=warmup,
-        trace_path=str(path),
-    )
+    scenario = replace(cfg, horizon_slots=horizon, warmup_slots=warmup)
+    tally = run_policy(scenario, cfg.build_controller(), seed=3, trace_path=str(path))
     env_ss, sched_ss = np.random.SeedSequence(3).spawn(2)
     sched_rng = np.random.default_rng(sched_ss)
     state = init_sim(cfg.district, cfg.make_processes(), cfg.initial_allocation, env_ss)
