@@ -307,6 +307,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a config value too large to allocate for
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3

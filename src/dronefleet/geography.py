@@ -1,8 +1,9 @@
 """District layout: regions, distribution centers, the central port.
 
 Coordinates are planar meters. Travel times are whole one-minute slots
-(distance / speed, rounded up), which is the only place the clock and the
-map meet.
+(distance / speed, rounded up). The clock and the map meet in two places:
+travel_time_slots here, for relocation legs, and simcore._draw_ahead, which
+rounds package trips up by District.meters_per_slot in one array operation.
 """
 
 from __future__ import annotations

@@ -216,7 +216,7 @@ def save_checkpoint(path: str, net: QNetwork, train_steps: int, config_echo: dic
         "config": config_echo,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump would stream through the pure-Python encoder
 
 
 def checkpoint_from_dict(doc) -> tuple[QNetwork, int, dict]:

@@ -17,8 +17,8 @@ its mission slots are its whole state. Between calls its phase is read off
 the clock t, the next slot to run: delivering while t <= drop, returning
 while drop < t <= back, locked (relocating or swapping) after that while
 t <= free, and idle once the clock has passed `free`; a fresh drone has
-free = -1. Fleet moves decided by a controller are applied between calls via
-apply_allocation_moves and only rewrite `back` and `free`.
+free = -1. Fleet moves are applied between calls: apply_allocation_moves flies
+each drone's relocation_leg and rewrites only `home`, `back` and `free`.
 
 Within one step_slot call no drone changes home, so each center is a FIFO
 queue with its own servers, and the call runs center by center, package by
@@ -243,35 +243,37 @@ def step_slot(state: SimState, slots: int = 1) -> tuple[list[int], list[int]]:
     return arrived, dispatched
 
 
-def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> None:
-    """Reassign drones to new homes (0 sends one back to the port).
-
-    Idle drones relocate at once and need no swap. Returning drones are
-    diverted from their old home to the new one and swap on arrival.
-    Delivering drones finish their drop first, then fly from the drop point
-    to the new home and swap. Ownership transfers at once either way, so n_d
-    reflects inbound drones.
+def relocation_leg(state: SimState, uid: int) -> tuple[Point, int, int]:
+    """(origin, start slot, swap slots) of the relocation flight of a drone
+    moved now: an idle one flies from its home at once, with no swap; a
+    returning one is diverted from its home and swaps on arrival; a
+    delivering one drops its package first, then flies from there and swaps.
     """
     t = state.t
+    if state.free[uid] < t:
+        return state.district.location_of(state.home[uid]), t, 0
+    if t <= state.drop[uid]:
+        return state.dest[uid], state.drop[uid], 1
+    if t <= state.back[uid]:
+        return state.district.location_of(state.home[uid]), t, 1
+    raise ValueError(f"UAV {uid} is not movable while relocating or swapping")
+
+
+def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> None:
+    """Reassign drones to new homes (0 sends one back to the port), each
+    flying its relocation_leg. A drone that swaps on arrival gives up the
+    rest of its return leg. Ownership transfers at once, so n_d reflects
+    inbound drones.
+    """
     district = state.district
-    speed = district.speed_kph
     for uid, target in moves:
         if not 0 <= uid < len(state.home):
             raise ValueError(f"unknown UAV id {uid}")
         if not 0 <= target <= district.num_pdcs:
             raise ValueError(f"unknown home index {target}")
-        old_home = state.home[uid]
-        if state.free[uid] < t:
-            leg = distance(district.location_of(old_home), district.location_of(target))
-            state.free[uid] = t + travel_time_slots(leg, speed)
-        elif t <= state.drop[uid]:
-            drop = state.back[uid] = state.drop[uid]
-            leg = distance(state.dest[uid], district.location_of(target))
-            state.free[uid] = drop + travel_time_slots(leg, speed) + 1
-        elif t <= state.back[uid]:
+        origin, start, swap = relocation_leg(state, uid)
+        leg = distance(origin, district.location_of(target))
+        state.free[uid] = start + travel_time_slots(leg, district.speed_kph) + swap
+        if swap:
             state.back[uid] = state.drop[uid]
-            leg = distance(district.location_of(old_home), district.location_of(target))
-            state.free[uid] = t + travel_time_slots(leg, speed) + 1
-        else:
-            raise ValueError(f"UAV {uid} is not movable while relocating or swapping")
         state.home[uid] = target

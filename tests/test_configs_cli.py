@@ -708,6 +708,38 @@ def test_non_finite_checkpoint_error_names_the_file(tmp_path, capsys, key, value
     assert "not all finite" in err
 
 
+# config values that ask numpy for more than a 47-bit address space holds,
+# so the allocation fails at once whatever the host's overcommit mode: a
+# batch of 10**14 packages' destination draws, an 18.2 PiB count buffer, and
+# a 1 x 10**14 weight layer ([10**7, 10**7] would first fill a 2 GB layer)
+OVERSIZED = {
+    "batch-mean": (
+        ["eval"],
+        {"arrival": {"type": "bernoulli", "p": 0.25, "batch_means": [10**14, 50, 75, 90]}},
+        "2.13 PiB",
+    ),
+    "epoch-slots": (["eval", "--horizon", "600"], {"reward": {"epoch_slots": 10**13}}, "18.2 PiB"),
+    "hidden-sizes": (
+        ["train"],
+        {"controller": "rl", "train": {"episodes": 1, "hidden_sizes": [1, 10**14]}},
+        "728. TiB",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_config_value_exits_2(tmp_path, capsys, case):
+    command, overrides, size = OVERSIZED[case]
+    config = write_config(tmp_path, base_doc(**overrides))
+    out = tmp_path / "out"
+    assert main([command[0], "--config", config, *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out of memory: Unable to allocate {size} ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # the run got as far as the resolved config
+    assert [p.name for p in out.rglob("*") if p.is_file()] == ["resolved_config.json"]
+
+
 @pytest.mark.parametrize("key", ["arrival.type", "controller"])
 def test_bad_value_is_echoed_short(tmp_path, capsys, key):
     nested = "bernoulli"

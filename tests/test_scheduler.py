@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dronefleet.geography import District, Region, SubRegion, builtin_district
-from dronefleet.scheduler import form_donor_set, schedule
-from dronefleet.simcore import apply_allocation_moves, observe
+from dronefleet.geography import District, Region, SubRegion, builtin_district, distance
+from dronefleet.scheduler import assign_donors, form_donor_set, schedule
+from dronefleet.simcore import apply_allocation_moves, observe, relocation_leg
 
 from oracles import (
     build_state,
@@ -51,15 +51,16 @@ def test_donor_category_order_within_a_pdc():
     donors = form_donor_set(state, [-4, 0, 0])
     # idle first, then returning by most recent delivery, then delivering
     # by earliest mission start
-    assert [e.uav_id for e in donors] == [2, 1, 3, 4]
-    assert donors[3].pickup == (60.0, 0.0)
-    assert donors[3].approach_m == (15 - 10) * 300.0
+    assert donors == [2, 1, 3, 4]
+    origin, start, _ = relocation_leg(state, donors[3])
+    assert origin == (60.0, 0.0)
+    assert (start - state.t) * district.meters_per_slot == (15 - 10) * 300.0
 
 
 def test_overdrawn_pdc_donates_all_it_has():
     state = build_state(line_district(), [idle(1), idle(1)])
     donors = form_donor_set(state, [-5, 0, 0])
-    assert [e.uav_id for e in donors] == [0, 1]
+    assert donors == [0, 1]
 
 
 def test_port_joins_only_under_net_demand():
@@ -67,10 +68,10 @@ def test_port_joins_only_under_net_demand():
     state = build_state(line_district(), uavs)
     # net demand zero: a pure reshuffle leaves the port out of it
     donors = form_donor_set(state, [-1, 1, 0])
-    assert [e.uav_id for e in donors] == [3]
+    assert donors == [3]
     # net demand 2: the port contributes exactly 2 of its 3
     donors = form_donor_set(state, [-1, 3, 0])
-    assert [e.uav_id for e in donors] == [3, 0, 1]
+    assert donors == [3, 0, 1]
 
 
 def test_shed_with_no_takers_parks_at_port():
@@ -103,6 +104,22 @@ def test_remaining_flight_counts_against_delivering_donors():
     # 10 slots * 300 m of unfinished flight; donor 1 is 6000 m away
     assert moves[0] == (0, 2)
     assert (1, 0) in moves
+
+
+def test_delivering_donor_costs_its_flight_ahead_plus_its_leg():
+    # the idle donor at PDC1 is 3000 m from PDC2; the delivering one costs
+    # (drop - t) * 300 m plus 1200 m from its drop point: at drop 16 that
+    # ties at 3000 m and the lower id wins, at drop 17 it is 300 m more
+    for drop, winner in ((16, 0), (17, 1)):
+        uavs = [delivering(3, dest=(4200.0, 0.0), drop=drop, start=0), idle(1)]
+        state = build_state(line_district(), uavs, t=10)
+        here = state.district.location_of(2)
+        origin, start, _ = relocation_leg(state, 0)
+        cost = (drop - state.t) * state.district.meters_per_slot + distance(state.dest[0], here)
+        assert (start - state.t) * 300.0 + distance(origin, here) == cost
+        assert cost == (drop - 10) * 300.0 + 1200.0
+        moves = assign_donors(state, [0, 1], [0, 1, 0], np.random.default_rng(0))
+        assert moves == [(winner, 2), (1 - winner, 0)]
 
 
 def test_equal_cost_breaks_ties_by_id():

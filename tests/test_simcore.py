@@ -10,10 +10,11 @@ from dronefleet.simcore import (
     by_phase,
     init_sim,
     observe,
+    relocation_leg,
     step_slot,
 )
 
-from oracles import SlotRule, build_state, locked, phase
+from oracles import SlotRule, build_state, delivering, idle, locked, phase, returning
 
 
 def point_region(pdc_xy, dest_xy):
@@ -247,13 +248,44 @@ def test_idle_is_read_off_the_clock():
     ]
     state = build_state(district, drones, t=t)
     assert [phase(state, uid) for uid in range(3)] == ["idle", "locked", "locked"]
-    assert [entry.uav_id for entry in form_donor_set(state, [-3, 3])] == [0]
+    assert form_donor_set(state, [-3, 3]) == [0]
+    assert relocation_leg(state, 0) == ((0.0, 0.0), t, 0)
     apply_allocation_moves(state, [(0, 2)])
     assert state.home[0] == 2
     assert state.free[0] == t + 2  # 600 m at 300 m per slot, no swap
     for uid in (1, 2):
         with pytest.raises(ValueError):
             apply_allocation_moves(state, [(uid, 2)])
+
+
+def test_relocation_leg_per_phase():
+    # at t=5, PDC1 at the origin and PDC2 at x=1500, 300 m per slot
+    district = make_district(
+        [point_region((0.0, 0.0), (900.0, 0.0)), point_region((1500.0, 0.0), (1500.0, 300.0))],
+        total_uavs=5,
+    )
+    t = 5
+    drones = [
+        idle(1, free=3),
+        idle(0),
+        returning(1, drop=4, back=7),
+        delivering(1, dest=(600.0, 0.0), drop=6, start=3),
+        locked(1, free=t + 1, t=t),
+    ]
+    state = build_state(district, drones, t=t)
+    assert relocation_leg(state, 0) == ((0.0, 0.0), t, 0)  # from home, now
+    assert relocation_leg(state, 1) == ((0.0, -300.0), t, 0)  # from the port
+    assert relocation_leg(state, 2) == ((0.0, 0.0), t, 1)  # diverted, then a swap
+    assert relocation_leg(state, 3) == ((600.0, 0.0), 6, 1)  # from the drop, at it
+    with pytest.raises(ValueError):
+        relocation_leg(state, 4)
+
+    # each move flies its leg: free = start + travel slots + swap, and a
+    # drone that swaps gives up the rest of its return leg (back = drop)
+    apply_allocation_moves(state, [(uid, 2) for uid in range(4)])
+    assert state.free == [t + 5, t + 6, t + 5 + 1, 6 + 3 + 1, t + 1]
+    assert state.back == [-1, -1, 4, 6, t - 1]
+    assert state.home == [2, 2, 2, 2, 1]
 
 
 def test_fleet_conservation_under_random_moves():
