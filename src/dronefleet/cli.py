@@ -58,14 +58,13 @@ def _config(args, ref: str, total_uavs: int | None) -> ExperimentConfig:
     return cfg
 
 
-def _checkpoints(args, cfg: ExperimentConfig, pattern: str = "") -> list:
-    """The per-PDC networks under --checkpoints (in its `pattern` directory
-    under compare), checked against `cfg`."""
+def _checkpoints(args, cfg: ExperimentConfig, directory: str) -> list:
+    """The per-PDC networks in `directory` under --checkpoints, checked against `cfg`."""
     if not args.checkpoints:
         raise CheckpointError(f"{args.command} of the rl controller needs --checkpoints")
     nets = []
     for pdc in range(1, cfg.district.num_pdcs + 1):
-        path = os.path.join(args.checkpoints, pattern, f"agent_pdc{pdc}.json")
+        path = os.path.join(args.checkpoints, directory, f"agent_pdc{pdc}.json")
         if not os.path.exists(path):
             raise CheckpointError(f"missing checkpoint {path}")
         doc = read_json(path, CheckpointError, "checkpoint")
@@ -120,8 +119,38 @@ def run_cells(cells: list, slots: int) -> list:
         return [future.result() for future in [pool.submit(cell) for cell in cells]]
 
 
-def _run_report(cfg: ExperimentConfig, nets, trace_path=None):
-    return summarize(run_policy(cfg, cfg.build_controller(nets), cfg.seeds[0], trace_path))
+def _evaluate(args, configs: dict, controllers=None, trace: bool = False):
+    """Run `configs`, resolved file name -> (config, its checkpoint directory
+    under --checkpoints), crossed with `controllers` (by default each config's
+    own). Every check runs before the output directory is made: each directory's
+    checkpoints load once, for rl cells only, and every controller is built.
+    Returns that directory and each cell's (config as run, report), in order."""
+    nets, cells = {}, []
+    for cfg, directory in configs.values():
+        for name in controllers or [cfg.controller]:
+            if name == "rl" and directory not in nets:
+                nets[directory] = _checkpoints(args, cfg, directory)
+            cell = replace(cfg, controller=name)
+            cells.append((cell, cell.build_controller(nets.get(directory))))
+    out = _output_dir(args, {name: cfg for name, (cfg, _) in configs.items()})
+    trace_path = os.path.join(out, "trace.csv") if trace else None
+    runs = [partial(run_policy, cfg, ctl, cfg.seeds[0], trace_path) for cfg, ctl in cells]
+    tallies = run_cells(runs, sum(cfg.horizon_slots for cfg, _ in cells))
+    return out, [(cfg, summarize(tally)) for (cfg, _), tally in zip(cells, tallies)]
+
+
+def _write_reports(out: str, results: list, json_name: str, table: str) -> None:
+    """Each cell's report as JSON at `json_name` formatted with the cell's
+    controller and arrival pattern, and a CSV_COLUMNS table of them all. JSON
+    has no NaN: w_mean and w_std, NaN when no package was dispatched, are null."""
+    rows = []
+    for cfg, report in results:
+        labels = cfg.controller, cfg.arrival["type"]
+        doc = report.to_dict()
+        doc.update((key, None) for key in ("w_mean", "w_std") if math.isnan(doc[key]))
+        _write_json(os.path.join(out, json_name.format(*labels)), doc)
+        rows.append(csv_row(*labels, report))
+    _write_csv(os.path.join(out, table), CSV_COLUMNS, rows)
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -177,14 +206,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args, args.config, args.n_uavs)
-    nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
-    out = _output_dir(args, {"resolved_config.json": cfg})
-    trace_path = os.path.join(out, "trace.csv") if args.trace else None
-    report = _run_report(cfg, nets, trace_path)
-
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
-    row = csv_row(cfg.controller, cfg.arrival["type"], report)
-    _write_csv(os.path.join(out, "report.csv"), CSV_COLUMNS, [row])
+    out, results = _evaluate(args, {"resolved_config.json": (cfg, "")}, trace=args.trace)
+    _write_reports(out, results, "report.json", "report.csv")
+    [(_, report)] = results
     print(
         f"{cfg.controller}/{cfg.arrival['type']}: p_max={report.p_max:.4f} "
         f"n_mean={report.n_mean:.1f} q_mean={report.q_mean:.1f} (report under {out})"
@@ -194,25 +218,14 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_distinct(args.fleet_sizes, "--n-uavs")
-    cfgs = [_config(args, args.config, total) for total in args.fleet_sizes]
-    cfg = cfgs[0]  # the fleet size is all they differ in
-    nets = _checkpoints(args, cfg) if cfg.controller == "rl" else None
-    out = _output_dir(
-        args, {f"resolved_n{total}.json": run_cfg for total, run_cfg in zip(args.fleet_sizes, cfgs)}
-    )
-    d = cfg.district.num_pdcs
-    cells = [partial(_run_report, run_cfg, nets) for run_cfg in cfgs]
-    reports = run_cells(cells, len(cells) * cfg.horizon_slots)
+    configs = {f"resolved_n{n}.json": (_config(args, args.config, n), "") for n in args.fleet_sizes}
+    out, results = _evaluate(args, configs)
     rows = []
-    for total, report in zip(args.fleet_sizes, reports):
+    for total, (_, report) in zip(args.fleet_sizes, results):
         rows.append([total, *map(repr, [report.p_max, report.n_mean, *report.violation])])
         logger.info("N=%d p_max=%.4f n_mean=%.1f", total, report.p_max, report.n_mean)
-
-    _write_csv(
-        os.path.join(out, "sweep.csv"),
-        ["total_uavs", "p_max", "n_mean"] + [f"violation_{pdc}" for pdc in range(1, d + 1)],
-        rows,
-    )
+    violation = [f"violation_{pdc}" for pdc in range(1, len(report.violation) + 1)]
+    _write_csv(os.path.join(out, "sweep.csv"), ["total_uavs", "p_max", "n_mean", *violation], rows)
     print(f"swept N over {list(args.fleet_sizes)}; table under {out}")
     return 0
 
@@ -220,25 +233,13 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     _check_distinct(args.patterns, "--patterns")
     _check_distinct(args.algorithms, "--algorithms")
-    cfgs = [(pattern, _config(args, pattern, None)) for pattern in args.patterns]
-    rl = "rl" in args.algorithms
-    nets = [_checkpoints(args, cfg, pattern) if rl else None for pattern, cfg in cfgs]
-    out = _output_dir(args, {f"resolved_{pattern}.json": cfg for pattern, cfg in cfgs})
-    reports_dir = os.path.join(out, "reports")
-    os.makedirs(reports_dir, exist_ok=True)
-    cells, rows = [], []
-    for (pattern, cfg), pattern_nets in zip(cfgs, nets):
-        for algorithm in args.algorithms:
-            cells.append(partial(_run_report, replace(cfg, controller=algorithm), pattern_nets))
-            rows.append((algorithm, pattern))
-    reports = run_cells(cells, len(args.algorithms) * sum(c.horizon_slots for _, c in cfgs))
-    for (algorithm, pattern), report in zip(rows, reports):
-        _write_json(os.path.join(reports_dir, f"{algorithm}_{pattern}.json"), report.to_dict())
-        logger.info("%s/%s p_max=%.4f", algorithm, pattern, report.p_max)
-
-    table = (csv_row(*row, report) for row, report in zip(rows, reports))
-    _write_csv(os.path.join(out, "compare.csv"), CSV_COLUMNS, table)
-    print(f"compared {len(rows)} cells; table under {out}")
+    configs = {f"resolved_{p}.json": (_config(args, p, None), p) for p in args.patterns}
+    out, results = _evaluate(args, configs, args.algorithms)
+    os.makedirs(os.path.join(out, "reports"), exist_ok=True)
+    _write_reports(out, results, os.path.join("reports", "{}_{}.json"), "compare.csv")
+    for cfg, report in results:
+        logger.info("%s/%s p_max=%.4f", cfg.controller, cfg.arrival["type"], report.p_max)
+    print(f"compared {len(results)} cells; table under {out}")
     return 0
 
 

@@ -10,7 +10,7 @@ import copy
 import json
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 from .arrivals import ArrivalProcess
@@ -79,11 +79,7 @@ class ExperimentConfig:
             "seed": seed,
             "pdc": pdc,
             "arrival": self.arrival,
-            "reward": {
-                "lam": self.reward.lam,
-                "violation_budget": self.reward.violation_budget,
-                "epoch_slots": self.reward.epoch_slots,
-            },
+            "reward": asdict(self.reward),
             "queue_bounds": list(self.queue_bounds),
             "delta": self.delta,
             "total_uavs": self.district.total_uavs,

@@ -589,6 +589,45 @@ def test_cli_sweep(tmp_path):
         assert sum(resolved["initial_allocation"]) == total  # the static split
 
 
+def test_cli_sweep_rl(tmp_path, capsys):
+    # the fleet sizes share one checkpoint set, loaded and checked first
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    net = init_network([STATE_SIZE, 8, 3], np.random.default_rng(0))
+    for pdc in range(1, 5):
+        save_checkpoint(str(ckpts / f"agent_pdc{pdc}.json"), net, 1, {})
+    config = write_config(tmp_path, base_doc(controller="rl"))
+    argv = ["sweep", "--config", config, "--n-uavs", "40", "60", "--horizon", "120"]
+    argv += ["--checkpoints", str(ckpts)]
+    assert main(argv + ["--out", str(tmp_path / "o1")]) == 0
+    with open(tmp_path / "o1" / "sweep.csv") as fh:
+        assert [row[0] for row in list(csv.reader(fh))[1:]] == ["40", "60"]
+    (ckpts / "agent_pdc3.json").unlink()
+    assert main(argv + ["--out", str(tmp_path / "o2")]) == 3
+    assert "missing checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
+
+
+def test_report_json_is_strict_when_nothing_is_dispatched(tmp_path):
+    # with no truck, no package is dispatched after warmup: the wait mean and
+    # spread are NaN, which JSON cannot hold; report.json writes them as null
+    doc = _bundled_scenario_doc("bernoulli")
+    doc.update(controller="static", arrival={**doc["arrival"], "p": 0})
+    out = tmp_path / "out"
+    argv = ["eval", "--config", write_config(tmp_path, doc), "--horizon", "120"]
+    assert main(argv + ["--out", str(out)]) == 0
+
+    def no_constant(name):
+        raise ValueError(f"not JSON: {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    assert (report["w_mean"], report["w_std"]) == (None, None)
+    assert report["horizon_slots"] == 120
+    with open(out / "report.csv") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert (row["w_mean"], row["w_std"]) == ("nan", "nan")
+
+
 def _bundled_scenario_doc(pattern):
     path = os.path.join(os.path.dirname(dronefleet.__file__), "data", f"scenario_{pattern}.json")
     with open(path) as fh:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dronefleet.arrivals import ArrivalProcess
-from dronefleet.cli import _run_report
 from dronefleet.configs import load_experiment_config
 from dronefleet.controllers import StaticController
 from dronefleet.geography import District, Region, SubRegion
@@ -417,13 +416,17 @@ def test_cell_memory_does_not_grow_with_horizon():
     # what a cell holds per slot lives for one block: a tenfold horizon
     # raises the peak of traced allocations by less than 1 MB
     cfg = replace(load_experiment_config("bernoulli"), controller="threshold")
-    _run_report(replace(cfg, horizon_slots=2000), None)  # what a first run sets up once
+
+    def run_cell(cell):  # what one eval cell runs
+        return summarize(run_policy(cell, cell.build_controller(), cell.seeds[0]))
+
+    run_cell(replace(cfg, horizon_slots=2000))  # what a first run sets up once
     peaks = []
     for horizon in (20_000, 200_000):
         cell = replace(cfg, horizon_slots=horizon)
         tracemalloc.start()
         try:
-            report = _run_report(cell, None)
+            report = run_cell(cell)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
