@@ -1,7 +1,10 @@
 """Experiment configuration: JSON in, validated runnable scenario out.
 
 Three scenario files ship with the package (bernoulli, tvb, mmb); any field
-can be overridden by pointing the CLI at a custom JSON document.
+can be overridden by pointing the CLI at a custom JSON document. read_json
+opens every input file, and config and district documents are checked here,
+by one rule for what counts as a number (_number) and one for what keys an
+object may hold (_section).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .controllers import (
     ThresholdController,
     largest_remainder,
 )
-from .geography import District, builtin_district, district_from_dict
+from .geography import District, Point, Region, SubRegion
 from .rlagent import CheckpointError, GreedyPolicyController, RewardParams
 from .training import TrainConfig
 
@@ -167,17 +170,73 @@ def _numbers(values, name: str, kind=float, **bounds) -> list:
     return [_number(v, f"{name}[{i}]", kind, **bounds) for i, v in enumerate(values)]
 
 
-def _section(doc, key, known) -> dict:
-    """doc[key] (an empty object when absent), or `doc` itself for key None:
-    a JSON object that holds no key but `known`. A misspelled key would
-    otherwise run with the default and still be recorded as given."""
-    value = doc if key is None else doc.get(key, {})
+def _section(value, name: str, known) -> dict:
+    """`value`, a JSON object that holds no key but `known`, or a ConfigError
+    naming it `name`. A misspelled key would otherwise run with the default
+    and still be recorded as given."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{key or 'config root'} must be a JSON object")
+        raise ConfigError(f"{name} must be a JSON object")
     unknown = set(value) - set(known)
     if unknown:
-        raise ConfigError(f"unknown {key or 'top-level'} settings: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} settings: {sorted(unknown)}")
     return value
+
+
+def _point(value, name: str) -> Point:
+    point = _numbers(value, name)
+    if len(point) != 2:
+        raise ConfigError(f"{name} must be two numbers")
+    return tuple(point)
+
+
+def _subregion(doc, name: str) -> SubRegion:
+    doc = _section(doc, name, ("min", "max", "weight"))
+    lo, hi = _point(doc.get("min"), f"{name}.min"), _point(doc.get("max"), f"{name}.max")
+    # an inverted corner would make sample_destinations draw outside the intended area
+    if not all(a <= b for a, b in zip(lo, hi)):
+        raise ConfigError(f"{name}.min exceeds its max corner")
+    return SubRegion(lo, hi, _number(doc.get("weight"), f"{name}.weight", low=0.0))
+
+
+def district_from_dict(doc) -> District:
+    """The district of a district document, read by the config's number
+    rules, or a ConfigError that names the bad field's path."""
+    try:
+        doc = _section(doc, "top-level", ("port", "total_uavs", "speed_kph", "regions"))
+        if not isinstance(doc.get("regions"), list) or not doc["regions"]:
+            raise ConfigError("regions must be a nonempty list")
+        regions = []
+        for i, region in enumerate(doc["regions"]):
+            name = f"regions[{i}]"
+            region = _section(region, name, ("pdc", "subregions"))
+            subs = region.get("subregions")
+            if not isinstance(subs, list) or not subs:
+                raise ConfigError(f"{name}.subregions must be a nonempty list")
+            subs = tuple(_subregion(s, f"{name}.subregions[{j}]") for j, s in enumerate(subs))
+            regions.append(Region(_point(region.get("pdc"), f"{name}.pdc"), subs))
+            if not regions[-1].weight > 0:
+                raise ConfigError(f"{name} has no population weight")
+        speed = _number(doc.get("speed_kph"), "speed_kph")
+        if speed <= 0:
+            raise ConfigError("speed_kph must be > 0")
+        return District(
+            regions=tuple(regions),
+            port_location=_point(doc.get("port"), "port"),
+            total_uavs=_number(doc.get("total_uavs"), "total_uavs", int),
+            speed_kph=speed,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"bad district document: {exc}") from exc
+
+
+def _packaged(name: str):
+    """The JSON document bundled with the package as data/<name>."""
+    return json.loads(resources.files("dronefleet").joinpath(f"data/{name}").read_text())
+
+
+def builtin_district() -> District:
+    """The bundled synthetic four-region district."""
+    return district_from_dict(_packaged("district.json"))
 
 
 def _parse_train(doc: dict) -> TrainConfig:
@@ -207,7 +266,7 @@ def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
         raise ConfigError(f"unknown arrival type {reprlib.repr(given['type'])}")
     rule, rate_keys = _RATE_RULES[given["type"]]
     arr = dict(_ARRIVAL_DEFAULTS)
-    arr.update(_section(doc, "arrival", (*_ARRIVAL_DEFAULTS, "type", "batch_means", *rate_keys)))
+    arr.update(_section(given, "arrival", (*_ARRIVAL_DEFAULTS, "type", "batch_means", *rate_keys)))
     half = _number(arr["batch_half_width"], "arrival.batch_half_width", int, low=0)
     means = _numbers(arr.get("batch_means"), "arrival.batch_means", int, low=half)
     if len(means) != num_pdcs:
@@ -244,17 +303,15 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     values. They pass the same checks and the resolved config records them;
     an overriding horizon_slots at or below the warmup runs without one.
     The resolved config, read back, gives the same config."""
-    doc = {**_section(doc, None, _TOP_KEYS), **_section(overrides, None, _TOP_KEYS)}
+    doc = _section(doc, "top-level", _TOP_KEYS)
+    doc = {**doc, **_section(overrides, "top-level", _TOP_KEYS)}
     district_ref = doc.get("district", "builtin")
     if not isinstance(district_ref, str):
         raise ConfigError("district must be 'builtin' or the path of a district file")
-    try:
-        if district_ref == "builtin":
-            district = builtin_district()
-        else:
-            district = district_from_dict(read_json(district_ref, ConfigError, "district file"))
-    except ValueError as exc:
-        raise ConfigError(f"bad district document: {exc}") from exc
+    if district_ref == "builtin":
+        district = builtin_district()
+    else:
+        district = district_from_dict(read_json(district_ref, ConfigError, "district file"))
 
     d = district.num_pdcs
     arrival, arrival_args = _parse_arrival(doc, d)
@@ -263,7 +320,7 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {reprlib.repr(controller)}")
 
-    reward_doc = _section(doc, "reward", ("lam", "violation_budget", "epoch_slots"))
+    reward_doc = _section(doc.get("reward", {}), "reward", ("lam", "violation_budget", "epoch_slots"))
     reward = RewardParams(
         lam=_number(reward_doc.get("lam", 4.0), "reward.lam"),
         violation_budget=_number(
@@ -283,7 +340,7 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     if district.total_uavs < 1:
         raise ConfigError("total_uavs must be >= 1")
 
-    train = _parse_train(_section(doc, "train", (*_TRAIN_FIELDS, "hidden_sizes")))
+    train = _parse_train(_section(doc.get("train", {}), "train", (*_TRAIN_FIELDS, "hidden_sizes")))
 
     alloc = doc.get("initial_allocation", "static")
     if alloc == "static":
@@ -334,6 +391,5 @@ def load_experiment_config(ref: str, **overrides) -> ExperimentConfig:
     """Load a bundled scenario by name or a JSON config by path, with
     `overrides` as config_from_dict takes them."""
     if ref in BUILTIN_SCENARIOS:
-        text = resources.files("dronefleet").joinpath(f"data/scenario_{ref}.json").read_text()
-        return config_from_dict(json.loads(text), **overrides)
+        return config_from_dict(_packaged(f"scenario_{ref}.json"), **overrides)
     return config_from_dict(read_json(ref, ConfigError, "config"), **overrides)

@@ -1,18 +1,19 @@
 """District layout: regions, distribution centers, the central port.
 
 Coordinates are planar meters. Travel times are whole one-minute slots
-(distance / speed, rounded up). The clock and the map meet in two places:
-travel_time_slots here, for relocation legs, and simcore._draw_ahead, which
-rounds package trips up by District.meters_per_slot in one array operation.
+(distance / speed, rounded up). The clock and the map meet in two places,
+both dividing by District.meters_per_slot: travel_time_slots here, for
+relocation legs, and simcore._draw_ahead, which rounds package trips up in
+one array operation. A district from configs.district_from_dict has finite
+corners with min <= max, weights >= 0 that sum above 0 in each region, and a
+positive speed; nothing here checks them again.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
@@ -42,14 +43,9 @@ class Region:
         """Cumulative sub-region weights, their total, and the min corner and
         extent of each sub-region; built on first use, once per region."""
         weights = np.array([s.weight for s in self.subregions], dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("region has no population weight")
         lo = np.array([s.min_corner for s in self.subregions], dtype=np.float64)
         span = np.array([s.max_corner for s in self.subregions], dtype=np.float64) - lo
-        if not np.isfinite(span).all():
-            raise ValueError("sub-region corners must be finite")
-        return np.cumsum(weights), total, lo, span
+        return np.cumsum(weights), weights.sum(), lo, span
 
 
 @dataclass(frozen=True)
@@ -79,13 +75,9 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def travel_time_slots(dist_m: float, speed_kph: float) -> int:
+def travel_time_slots(dist_m: float, meters_per_slot: float) -> int:
     """Whole slots needed to cover dist_m; zero only for a zero-length trip."""
-    if dist_m < 0:
-        raise ValueError("negative distance")
-    if speed_kph <= 0:
-        raise ValueError("speed must be positive")
-    return math.ceil(dist_m / (speed_kph * 1000.0 / 60.0))
+    return math.ceil(dist_m / meters_per_slot)
 
 
 def sample_destinations(
@@ -113,59 +105,3 @@ def sample_destinations(
     # C order; written out, the same doubles cost a fifth of its time
     return lo.take(idx, axis=0) + span.take(idx, axis=0) * u[~is_pick].reshape(count, 2)
 
-
-def _point(value, name: str) -> Point:
-    point = tuple(float(x) for x in value)
-    if len(point) != 2 or not all(map(math.isfinite, point)):
-        raise ValueError(f"{name} must be two finite numbers: {value!r}")
-    return point
-
-
-def _subregion(doc: dict) -> SubRegion:
-    sub = SubRegion(
-        min_corner=_point(doc["min"], "sub-region corner"),
-        max_corner=_point(doc["max"], "sub-region corner"),
-        weight=float(doc["weight"]),
-    )
-    # written so that NaN fails; a negative weight or an inverted corner
-    # would make sample_destinations draw outside the intended area
-    if not 0.0 <= sub.weight < math.inf:
-        raise ValueError(f"sub-region weight must be finite and >= 0: {doc['weight']!r}")
-    if not all(lo <= hi for lo, hi in zip(sub.min_corner, sub.max_corner)):
-        raise ValueError(f"sub-region min corner exceeds its max corner: {doc['min']!r}")
-    return sub
-
-
-def district_from_dict(doc: dict) -> District:
-    try:
-        regions = []
-        for reg in doc["regions"]:
-            subs = tuple(_subregion(s) for s in reg["subregions"])
-            if not subs:
-                raise ValueError("region without subregions")
-            if not sum(s.weight for s in subs) > 0:
-                raise ValueError("region has no population weight")
-            regions.append(Region(pdc_location=_point(reg["pdc"], "pdc"), subregions=subs))
-        if not regions:
-            raise ValueError("district without regions")
-        total_uavs = int(doc["total_uavs"])
-        # int() would truncate 40.9 to 40
-        if isinstance(doc["total_uavs"], float) and total_uavs != doc["total_uavs"]:
-            raise ValueError(f"total_uavs must be a whole number: {doc['total_uavs']!r}")
-        speed = float(doc["speed_kph"])
-        if not 0.0 < speed < math.inf:
-            raise ValueError(f"speed_kph must be finite and > 0: {doc['speed_kph']!r}")
-        return District(
-            regions=tuple(regions),
-            port_location=_point(doc["port"], "port"),
-            total_uavs=total_uavs,
-            speed_kph=speed,
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed district document: {exc}") from exc
-
-
-def builtin_district() -> District:
-    """The bundled synthetic four-region district."""
-    text = resources.files("dronefleet").joinpath("data/district.json").read_text()
-    return district_from_dict(json.loads(text))

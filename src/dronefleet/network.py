@@ -73,11 +73,8 @@ def _forward_cached(net: QNetwork, x: np.ndarray):
 
 
 def forward(net: QNetwork, x: np.ndarray) -> np.ndarray:
-    """Q-values for one input (1-D) or a batch (..., B, in)."""
-    a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    _, acts = _forward_cached(net, a[None, :] if single else a)
-    return acts[-1][0] if single else acts[-1]
+    """Q-values for a batch (..., B, in)."""
+    return _forward_cached(net, np.asarray(x, dtype=np.float64))[1][-1]
 
 
 def batch_gradient(

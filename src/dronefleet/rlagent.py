@@ -150,8 +150,9 @@ class ReplayBuffer:
     and next states (D, STATE_SIZE), actions and rewards (D,), and one done
     flag. Rows are stored column-wise, one array per field, so a push is one
     row write per field and a minibatch one fancy index per field. The
-    encodings are 0/1 bits and are kept as uint8. The arrays double as they
-    fill, up to `capacity` rows.
+    encodings are 0/1 bits and are kept as uint8. The first push allocates
+    all `capacity` rows, zeroed; a page of them costs memory only once
+    written.
     """
 
     def __init__(self, capacity: int):
@@ -165,22 +166,15 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _reserve(self, state: np.ndarray, action: np.ndarray) -> None:
-        rows = min(self.capacity, max(64, 2 * self._size))
-        fresh = (
-            np.zeros((rows, *np.shape(state)), dtype=np.uint8),
-            np.zeros((rows, *np.shape(action)), dtype=np.intp),
-            np.zeros((rows, *np.shape(action))),
-            np.zeros((rows, *np.shape(state)), dtype=np.uint8),
-            np.zeros(rows, dtype=bool),
-        )
-        for new, old in zip(fresh, self._columns):
-            new[: self._size] = old[: self._size]
-        self._columns = fresh
-
     def push(self, state, action, reward, next_state, done) -> None:
-        if not self._columns or self._write == len(self._columns[0]) < self.capacity:
-            self._reserve(state, action)
+        if not self._columns:
+            self._columns = (
+                np.zeros((self.capacity, *np.shape(state)), dtype=np.uint8),
+                np.zeros((self.capacity, *np.shape(action)), dtype=np.intp),
+                np.zeros((self.capacity, *np.shape(action))),
+                np.zeros((self.capacity, *np.shape(state)), dtype=np.uint8),
+                np.zeros(self.capacity, dtype=bool),
+            )
         for column, value in zip(self._columns, (state, action, reward, next_state, done)):
             column[self._write] = value
         self._size = max(self._size, self._write + 1)
@@ -227,7 +221,7 @@ def checkpoint_from_dict(doc) -> tuple[QNetwork, int, dict]:
         biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
         steps = int(doc["train_steps"])
         config = doc.get("config", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     expected = list(zip(sizes[:-1], sizes[1:]))
     if [w.shape for w in weights] != expected or [b.shape for b in biases] != [

@@ -51,7 +51,7 @@ TRACE_BLOCK_EPOCHS = 32
 def run_policy(
     scenario,
     controller: Controller,
-    seed: int | np.random.SeedSequence,
+    seed: int,
     trace_path: str | None = None,
 ) -> Tally:
     """Run one fixed-policy episode of at least the scenario's horizon_slots
@@ -65,8 +65,7 @@ def run_policy(
     epoch_slots, d = scenario.reward.epoch_slots, scenario.district.num_pdcs
     if epoch_slots < 1 or scenario.horizon_slots < 1:
         raise ValueError("epoch and horizon must be positive")
-    master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    env_ss, sched_ss = master.spawn(2)
+    env_ss, sched_ss = np.random.SeedSequence(seed).spawn(2)
     counts = np.empty((TRACE_BLOCK_EPOCHS, epoch_slots, 2, d), dtype=np.int64)
     run = run_epochs(scenario, env_ss, np.random.default_rng(sched_ss), counts)
     tally = Tally(scenario.queue_bounds, scenario.warmup_slots)

@@ -273,7 +273,7 @@ def apply_allocation_moves(state: SimState, moves: list[tuple[int, int]]) -> Non
             raise ValueError(f"unknown home index {target}")
         origin, start, swap = relocation_leg(state, uid)
         leg = distance(origin, district.location_of(target))
-        state.free[uid] = start + travel_time_slots(leg, district.speed_kph) + swap
+        state.free[uid] = start + travel_time_slots(leg, district.meters_per_slot) + swap
         if swap:
             state.back[uid] = state.drop[uid]
         state.home[uid] = target

@@ -101,7 +101,8 @@ def train(scenario, cfg: TrainConfig, seed: int) -> TrainResult:
     net = stack_networks(nets)
     target = copy_network(net)
     adam = init_adam(net, lr=cfg.learning_rate)
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    # the ring never holds more rows than the run has decision steps
+    buffer = ReplayBuffer(min(cfg.buffer_capacity, cfg.episodes * cfg.max_steps_per_episode))
     sched_rng = np.random.default_rng(master.spawn(1)[0])
     counts = np.empty((1, epoch_slots, 2, d), dtype=np.int64)  # one epoch's, reused
 

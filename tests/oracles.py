@@ -284,8 +284,9 @@ def ddqn_target(reward, next_encoded, done, online, target, gamma):
     reward."""
     if done:
         return float(reward)
-    best = int(np.argmax(forward(online, next_encoded)))
-    return float(reward + gamma * forward(target, next_encoded)[best])
+    batch = np.asarray(next_encoded)[None]
+    best = int(np.argmax(forward(online, batch)[0]))
+    return float(reward + gamma * forward(target, batch)[0, best])
 
 
 def whole_array_report(arrivals, dispatches, n, queue_bounds, warmup_slots):

@@ -428,6 +428,37 @@ def test_bad_district_file_exits_2(tmp_path, capsys, fault):
     assert not out.exists()
 
 
+# id -> (fault, the field its message names)
+DISTRICT_FAULTS = {
+    "speed-true": (lambda doc: doc.update(speed_kph=True), "speed_kph"),
+    "weight-true": (
+        lambda doc: doc["regions"][0]["subregions"][1].update(weight=True),
+        "regions[0].subregions[1].weight",
+    ),
+    "fleet-true": (lambda doc: doc.update(total_uavs=True), "total_uavs"),
+    "unknown-top-level-key": (lambda doc: doc.update(speed=18.0), "['speed']"),
+    "regions-not-a-list": (lambda doc: doc.update(regions=5), "regions"),
+    "subregions-not-a-list": (
+        lambda doc: doc["regions"][2].update(subregions=5),
+        "regions[2].subregions",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DISTRICT_FAULTS))
+def test_district_file_follows_the_config_rules(tmp_path, capsys, case):
+    # JSON true where a number belongs, or a key that no field reads, exits 2
+    # in a district file as it does in a config
+    fault, field = DISTRICT_FAULTS[case]
+    config = write_config(tmp_path, base_doc(district=_district_file(tmp_path, fault)))
+    out = tmp_path / "out"
+    assert main(["eval", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad district document: ") and field in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.json")]) == 2
     # the bundled rl scenario cannot be evaluated without checkpoints, and a
@@ -901,6 +932,14 @@ def _checkpoint_files(tmp_path, data: bytes):
     return str(ckpts)
 
 
+def _overflowing_steps(tmp_path):
+    # JSON 1e400 reads as float infinity, which int() cannot take
+    net = init_network([STATE_SIZE, 8, 3], np.random.default_rng(0))
+    save_checkpoint(str(tmp_path / "ck.json"), net, 1, {})
+    data = (tmp_path / "ck.json").read_bytes()
+    return _checkpoint_files(tmp_path, data.replace(b'"train_steps": 1', b'"train_steps": 1e400'))
+
+
 def _file_at_out(tmp_path):
     (tmp_path / "taken").write_text("x")
     return str(tmp_path / "taken")
@@ -947,6 +986,7 @@ INPUT_FAULTS = {
         lambda t: _eval_rl(_checkpoint_files(t, b'{"layer_sizes": "\xff"}')),
     ),
     "checkpoint-nested-100000-deep": (3, lambda t: _eval_rl(_checkpoint_files(t, DEEP))),
+    "checkpoint-train-steps-overflow": (3, lambda t: _eval_rl(_overflowing_steps(t))),
     "unknown-top-level-key": (2, lambda t: _eval(t, horizon_slot=120)),
     "unknown-reward-key": (2, lambda t: _eval(t, reward={"epoch": 30})),
     "unknown-arrival-key": (2, lambda t: _eval(t, arrival=_arrival_with(truck_interval=7))),

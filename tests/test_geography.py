@@ -1,17 +1,14 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from dronefleet.configs import ConfigError, read_json
+from dronefleet.configs import ConfigError, builtin_district, district_from_dict, read_json
 from dronefleet.geography import (
     District,
     Region,
     SubRegion,
-    builtin_district,
     distance,
-    district_from_dict,
     sample_destinations,
     travel_time_slots,
 )
@@ -32,18 +29,11 @@ def test_distance_is_euclidean():
 
 def test_travel_time_rounds_up_to_whole_slots():
     # 18 km/h is 300 m per slot
-    assert travel_time_slots(0.0, 18.0) == 0
-    assert travel_time_slots(1.0, 18.0) == 1
-    assert travel_time_slots(300.0, 18.0) == 1
-    assert travel_time_slots(300.1, 18.0) == 2
-    assert travel_time_slots(1500.0, 18.0) == 5
-
-
-def test_travel_time_rejects_bad_input():
-    with pytest.raises(ValueError):
-        travel_time_slots(-1.0, 18.0)
-    with pytest.raises(ValueError):
-        travel_time_slots(10.0, 0.0)
+    assert travel_time_slots(0.0, 300.0) == 0
+    assert travel_time_slots(1.0, 300.0) == 1
+    assert travel_time_slots(300.0, 300.0) == 1
+    assert travel_time_slots(300.1, 300.0) == 2
+    assert travel_time_slots(1500.0, 300.0) == 5
 
 
 def test_sampled_destinations_stay_inside_their_rectangles():
@@ -126,24 +116,6 @@ def test_block_draw_matches_one_call_per_batch():
         sample_destinations(region, rng, 5, [2, 2])
 
 
-def test_zero_weight_region_rejected():
-    region = Region(
-        pdc_location=(0.0, 0.0),
-        subregions=(SubRegion((0.0, 0.0), (1.0, 1.0), 0.0),),
-    )
-    with pytest.raises(ValueError):
-        sample_destinations(region, np.random.default_rng(0), 1)
-
-
-def test_infinite_corner_rejected():
-    region = Region(
-        pdc_location=(0.0, 0.0),
-        subregions=(SubRegion((0.0, 0.0), (math.inf, 1.0), 1.0),),
-    )
-    with pytest.raises(ValueError):
-        sample_destinations(region, np.random.default_rng(0), 1)
-
-
 def test_district_accessors():
     district = District(
         regions=(square_region(0.0, 0.0, 10.0, 1.0), square_region(100.0, 0.0, 10.0, 2.0)),
@@ -181,9 +153,9 @@ def test_district_from_dict_roundtrip(tmp_path):
 
 
 def test_district_from_dict_rejects_malformed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         district_from_dict({"port": [0, 0]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         district_from_dict(
             {"port": [0, 0], "total_uavs": 1, "speed_kph": 10, "regions": [{"pdc": [0, 0], "subregions": []}]}
         )
@@ -214,5 +186,5 @@ def test_builtin_travel_times_fit_an_epoch():
                 (sub.max_corner[0], sub.min_corner[1]),
             )
         )
-        round_trip = 2 * travel_time_slots(worst, district.speed_kph)
+        round_trip = 2 * travel_time_slots(worst, district.meters_per_slot)
         assert round_trip <= 30

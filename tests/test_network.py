@@ -62,6 +62,7 @@ def test_init_shapes_and_bounds():
 
 
 def test_forward_single_equals_batch_row():
+    # a batch of one equals its row of the batch
     rng = np.random.default_rng(1)
     net = init_network([6, 5, 3], rng)
     xs = rng.random((4, 6))
@@ -69,7 +70,7 @@ def test_forward_single_equals_batch_row():
     assert batch_out.shape == (4, 3)
     for i in range(4):
         # row-at-a-time and batched matmul may differ by rounding only
-        assert np.allclose(forward(net, xs[i]), batch_out[i], rtol=1e-12, atol=0.0)
+        assert np.allclose(forward(net, xs[i][None])[0], batch_out[i], rtol=1e-12, atol=0.0)
 
 
 def test_forward_hand_computed():
@@ -78,8 +79,8 @@ def test_forward_hand_computed():
         weights=[np.array([[2.0]]), np.array([[3.0]])],
         biases=[np.array([-1.0]), np.array([0.5])],
     )
-    assert forward(net, np.array([1.0]))[0] == pytest.approx(3.5)
-    assert forward(net, np.array([0.0]))[0] == pytest.approx(0.5)  # relu clips
+    assert forward(net, np.array([[1.0]]))[0, 0] == pytest.approx(3.5)
+    assert forward(net, np.array([[0.0]]))[0, 0] == pytest.approx(0.5)  # relu clips
 
 
 def test_copy_network_is_deep():
@@ -159,7 +160,7 @@ def test_adam_converges_on_quadratic():
     for _ in range(400):
         gw, gb = batch_gradient(net, x[None, :], np.array([2]), np.array([3.0]))
         adam_step(adam, net, gw, gb)
-    assert forward(net, x)[2] == pytest.approx(3.0, abs=1e-3)
+    assert forward(net, x[None])[0, 2] == pytest.approx(3.0, abs=1e-3)
 
 
 def test_adam_rejects_mismatched_gradients():
@@ -229,7 +230,7 @@ def test_stacked_forward_and_gradient_match_each_net_alone():
         gw, gb = batch_gradient(stacked, xs, actions, targets)
         for i, net in enumerate(nets):
             assert q[i].tobytes() == forward(net, xs[i]).tobytes()
-            assert q_one[i, 0].tobytes() == forward(net, xs[i, 0]).tobytes()
+            assert q_one[i, 0].tobytes() == forward(net, xs[i, :1])[0].tobytes()
             alone_w, alone_b = batch_gradient(net, xs[i], actions[i], targets[i])
             for got, want in zip([*gw, *gb], [*alone_w, *alone_b]):
                 assert got[i].tobytes() == want.tobytes()

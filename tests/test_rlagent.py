@@ -186,7 +186,7 @@ def test_select_action_matches_each_agent_alone():
             want = [
                 int(ref.integers(NUM_ACTIONS))
                 if ref.random() < eps
-                else int(np.argmax(forward(net, enc[i])))
+                else int(np.argmax(forward(net, enc[i][None])[0]))
                 for i, (net, ref) in enumerate(zip(nets, refs))
             ]
             assert got.tolist() == want
@@ -266,7 +266,7 @@ def test_replay_sample_without_replacement():
 
 
 def test_replay_buffer_keeps_rows_across_growth_and_wrap():
-    # storage grows from 64 rows to the capacity of 100, then the ring wraps
+    # the ring fills its 100 rows, then wraps
     buf = ReplayBuffer(capacity=100)
     for k in range(150):
         push_one(buf, encode_state(k % 7, k), k % 3, float(k), encode_state(0, k), k % 2 == 0)
@@ -370,7 +370,7 @@ def test_greedy_policy_controller_matches_each_net_alone():
     for _ in range(40):
         obs = list(zip(rng.integers(0, 60, 4).tolist(), rng.integers(0, 300, 4).tolist()))
         want = [
-            action_delta(int(np.argmax(forward(net, encode_state(n, q)))), 5)
+            action_delta(int(np.argmax(forward(net, encode_state(n, q)[None])[0])), 5)
             for net, (n, q) in zip(nets, obs)
         ]
         assert ctrl.decide(0, obs) == want

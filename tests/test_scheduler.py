@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dronefleet.geography import District, Region, SubRegion, builtin_district, distance
+from dronefleet.configs import builtin_district
+from dronefleet.geography import District, Region, SubRegion, distance
 from dronefleet.scheduler import assign_donors, form_donor_set, schedule
 from dronefleet.simcore import apply_allocation_moves, observe, relocation_leg
 
