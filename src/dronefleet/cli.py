@@ -23,7 +23,6 @@ from .configs import (
     CONTROLLERS,
     ConfigError,
     ExperimentConfig,
-    config_from_dict,
     load_experiment_config,
     read_json,
 )
@@ -54,7 +53,8 @@ def _config(args, ref: str, total_uavs: int | None) -> ExperimentConfig:
         overrides.update(total_uavs=total_uavs, initial_allocation="static")
     cfg = load_experiment_config(ref, **overrides)
     if args.command != "train":  # eval, sweep and compare run one seed
-        cfg = config_from_dict(cfg.resolved, seeds=cfg.seeds[:1])
+        seeds = cfg.seeds[:1]
+        cfg = replace(cfg, seeds=seeds, resolved={**cfg.resolved, "seeds": list(seeds)})
     return cfg
 
 

@@ -2,9 +2,10 @@
 
 Three scenario files ship with the package (bernoulli, tvb, mmb); any field
 can be overridden by pointing the CLI at a custom JSON document. read_json
-opens every input file, and config and district documents are checked here,
-by one rule for what counts as a number (_number) and one for what keys an
-object may hold (_section).
+opens every input file. Config and district documents are checked here: each
+section's numbers by one settings table and one reader (_read), through one
+rule for what counts as a number (_number) and one for what keys an object
+may hold (_section). The rules that span fields are written out by hand.
 """
 
 from __future__ import annotations
@@ -108,51 +109,74 @@ class ExperimentConfig:
                 )
 
 
-_TOP_KEYS = (
-    "district arrival controller reward queue_bounds delta initial_allocation train seeds"
-    " horizon_slots warmup_slots ql_update_multiple total_uavs"
-).split()
+# A settings table maps each key of a section to (kind, low, high[, default]).
+# kind is int or float, or [int] / [float] for a list of them; low and high
+# bound each number (None: unbounded). A row without a default is required;
+# a default of None lets the key be left out, for the value's owner to fill.
+_TOP = {
+    "queue_bounds": ([float], None, None),
+    "delta": (int, 1, None, 5),
+    "seeds": ([int], 0, None, [1, 2, 3]),
+    "horizon_slots": (int, 1, None, 100_000),
+    "warmup_slots": (int, 0, None, 1_000),
+    "ql_update_multiple": (int, 1, None, 5),
+    "total_uavs": (int, 1, None, None),  # left out: the district's fleet
+}
+_TOP_BY_HAND = ("district", "arrival", "controller", "reward", "train", "initial_allocation")
 
-_ARRIVAL_DEFAULTS = {
-    "truck_interval_mins": 30,
-    "batch_half_width": 15,
-    "per_slot_phase": True,
+_REWARD = {
+    "lam": (float, None, None, 4.0),
+    "violation_budget": (float, None, None, 0.1),
+    "epoch_slots": (int, 1, None, 60),
 }
 
-# TrainConfig field -> (kind, low, high); hidden_sizes is read apart
-_TRAIN_FIELDS = {
-    "episodes": (int, 1, None),
-    "max_steps_per_episode": (int, 1, None),
-    "gamma": (float, 0.0, 1.0),
-    "batch_size": (int, 1, None),
-    "buffer_capacity": (int, 1, None),
-    "min_buffer": (int, 0, None),
-    "target_update_episodes": (int, 1, None),
-    "learning_rate": (float, 0.0, None),
-    "eps_start": (float, 0.0, 1.0),
-    "eps_end": (float, 0.0, 1.0),
-    "eps_decay_fraction": (float, 0.0, 1.0),
-    "saturation_cutoff": (int, 0, None),
+# TrainConfig holds the defaults
+_TRAIN = {
+    "episodes": (int, 1, None, None),
+    "max_steps_per_episode": (int, 1, None, None),
+    "gamma": (float, 0.0, 1.0, None),
+    "batch_size": (int, 1, None, None),
+    "buffer_capacity": (int, 1, None, None),
+    "min_buffer": (int, 0, None, None),
+    "target_update_episodes": (int, 1, None, None),
+    "learning_rate": (float, 0.0, None, None),
+    "eps_start": (float, 0.0, 1.0, None),
+    "eps_end": (float, 0.0, 1.0, None),
+    "eps_decay_fraction": (float, 0.0, 1.0, None),
+    "saturation_cutoff": (int, 0, None, None),
+    "hidden_sizes": ([int], 1, None, None),
 }
 
-
+# the arrival keys of every type; type and per_slot_phase are read by hand
+_ARRIVAL = {
+    "truck_interval_mins": (int, 1, None, 30),
+    "batch_half_width": (int, 0, None, 15),
+    "batch_means": ([int], 0, None),
+}
+_P = (float, 0.0, 1.0)  # a probability
 # arrival type -> the rate rule of its process and the keys that rule reads
 _RATE_RULES = {
-    "bernoulli": ("constant", ("p",)),
-    "tvb": ("square", ("p_high", "p_low", "period_mins")),
-    "mmb": ("markov", ("p_high", "p_low", "p_high_to_low", "p_low_to_high")),
+    "bernoulli": ("constant", {"p": _P}),
+    "tvb": ("square", {"p_high": _P, "p_low": _P, "period_mins": (int, 1, None)}),
+    "mmb": ("markov", {"p_high": _P, "p_low": _P, "p_high_to_low": _P, "p_low_to_high": _P}),
 }
+# arrival key -> the ArrivalProcess argument it sets, where the names differ
+_PROCESS_ARGS = {"truck_interval_mins": "truck_interval", "p": "p_high", "period_mins": "period"}
+
+_DISTRICT = {"total_uavs": (int, 1, None), "speed_kph": (float, None, None)}
 
 
 def _number(value, name: str, kind=float, low=None, high=None):
     """`value` read as `kind` and range-checked, or a ConfigError naming `name`."""
+    # float() and int() would read "0.25" and JSON true as numbers
+    if isinstance(value, (str, bool)):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} missing or not a number: {value!r}") from exc
-    # JSON true would read as 1; NaN and Infinity would pass a missing bound
-    # (int() refuses both)
-    if isinstance(value, bool) or kind is float and not math.isfinite(x):
+    # NaN and Infinity would pass a missing bound (int() refuses both)
+    if kind is float and not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number: {value!r}")
     # int() would truncate 40.9 to 40
     if kind is int and isinstance(value, float) and x != value:
@@ -182,6 +206,24 @@ def _section(value, name: str, known) -> dict:
     return value
 
 
+def _read(doc, name: str, table: dict, by_hand=()) -> dict:
+    """The numbers that `table`'s rows read from `doc`, the section called
+    `name`. It may hold no key but the table's and `by_hand`, the keys
+    that its caller reads."""
+    doc = _section(doc, name, (*table, *by_hand))
+    prefix = "" if name == "top-level" else f"{name}."
+    values = {}
+    for key, (kind, low, high, *default) in table.items():
+        if key not in doc and default == [None]:
+            continue
+        value = doc.get(key, *default)
+        if isinstance(kind, list):
+            values[key] = _numbers(value, prefix + key, kind[0], low=low, high=high)
+        else:
+            values[key] = _number(value, prefix + key, kind, low, high)
+    return values
+
+
 def _point(value, name: str) -> Point:
     point = _numbers(value, name)
     if len(point) != 2:
@@ -202,7 +244,7 @@ def district_from_dict(doc) -> District:
     """The district of a district document, read by the config's number
     rules, or a ConfigError that names the bad field's path."""
     try:
-        doc = _section(doc, "top-level", ("port", "total_uavs", "speed_kph", "regions"))
+        numbers = _read(doc, "top-level", _DISTRICT, ("port", "regions"))
         if not isinstance(doc.get("regions"), list) or not doc["regions"]:
             raise ConfigError("regions must be a nonempty list")
         regions = []
@@ -216,15 +258,9 @@ def district_from_dict(doc) -> District:
             regions.append(Region(_point(region.get("pdc"), f"{name}.pdc"), subs))
             if not regions[-1].weight > 0:
                 raise ConfigError(f"{name} has no population weight")
-        speed = _number(doc.get("speed_kph"), "speed_kph")
-        if speed <= 0:
+        if numbers["speed_kph"] <= 0:
             raise ConfigError("speed_kph must be > 0")
-        return District(
-            regions=tuple(regions),
-            port_location=_point(doc.get("port"), "port"),
-            total_uavs=_number(doc.get("total_uavs"), "total_uavs", int),
-            speed_kph=speed,
-        )
+        return District(tuple(regions), _point(doc.get("port"), "port"), **numbers)
     except ConfigError as exc:
         raise ConfigError(f"bad district document: {exc}") from exc
 
@@ -239,62 +275,31 @@ def builtin_district() -> District:
     return district_from_dict(_packaged("district.json"))
 
 
-def _parse_train(doc: dict) -> TrainConfig:
-    values = {}
-    for key, value in {"episodes": 150, **doc}.items():
-        if key != "hidden_sizes":
-            kind, low, high = _TRAIN_FIELDS[key]
-            values[key] = _number(value, f"train.{key}", kind, low=low, high=high)
-    if "hidden_sizes" in doc:
-        values["hidden_sizes"] = tuple(
-            _numbers(doc["hidden_sizes"], "train.hidden_sizes", int, low=1)
-        )
-    return TrainConfig(**values)
-
-
-def _probability(doc: dict, key: str) -> float:
-    return _number(doc.get(key), f"arrival.{key}", low=0.0, high=1.0)
-
-
-def _parse_arrival(doc: dict, num_pdcs: int) -> tuple[dict, list]:
-    """The arrival section of `doc` with defaults filled in, and each PDC's
-    process arguments."""
-    given = doc.get("arrival")
+def _parse_arrival(given, num_pdcs: int) -> tuple[dict, list]:
+    """The arrival section with defaults filled in, and each PDC's process
+    arguments."""
     if not isinstance(given, dict) or "type" not in given:
         raise ConfigError("arrival section missing")
     if not isinstance(given["type"], str) or given["type"] not in _RATE_RULES:
         raise ConfigError(f"unknown arrival type {reprlib.repr(given['type'])}")
     rule, rate_keys = _RATE_RULES[given["type"]]
-    arr = dict(_ARRIVAL_DEFAULTS)
-    arr.update(_section(given, "arrival", (*_ARRIVAL_DEFAULTS, "type", "batch_means", *rate_keys)))
-    half = _number(arr["batch_half_width"], "arrival.batch_half_width", int, low=0)
-    means = _numbers(arr.get("batch_means"), "arrival.batch_means", int, low=half)
+    values = _read(given, "arrival", {**_ARRIVAL, **rate_keys}, ("type", "per_slot_phase"))
+    means = values.pop("batch_means")
     if len(means) != num_pdcs:
         raise ConfigError("arrival.batch_means must list one mean per PDC")
+    if any(mean < values["batch_half_width"] for mean in means):
+        raise ConfigError("arrival.batch_means must be >= arrival.batch_half_width")
+    # checkpoints echo this, key order included: the defaults, then the section as given
+    arr = {key: values[key] for key in ("truck_interval_mins", "batch_half_width")}
+    arr = {**arr, "per_slot_phase": ArrivalProcess.per_slot_phase, **given}
+    phase = arr["per_slot_phase"]
     # a string such as "no" would read as true
-    if not isinstance(arr["per_slot_phase"], bool):
-        raise ConfigError(
-            f"arrival.per_slot_phase must be true or false: {arr['per_slot_phase']!r}"
-        )
-    args = {
-        "truck_interval": _number(
-            arr["truck_interval_mins"], "arrival.truck_interval_mins", int, low=1
-        ),
-        "batch_half_width": half,
-        "rule": rule,
-        "per_slot_phase": arr["per_slot_phase"],
-    }
-    if rule == "constant":
-        args["p_high"] = _probability(arr, "p")
-    else:
-        args["p_high"] = _probability(arr, "p_high")
-        args["p_low"] = _probability(arr, "p_low")
-    if rule == "square":
-        period = _number(arr.get("period_mins"), "arrival.period_mins", int, low=1)
-        args["period"] = arr["period_mins"] = period
-    if rule == "markov":
-        args["p_high_to_low"] = _probability(arr, "p_high_to_low")
-        args["p_low_to_high"] = _probability(arr, "p_low_to_high")
+    if not isinstance(phase, bool):
+        raise ConfigError(f"arrival.per_slot_phase must be true or false: {phase!r}")
+    if "period_mins" in values:
+        arr["period_mins"] = values["period_mins"]
+    args = {_PROCESS_ARGS.get(key, key): value for key, value in values.items()}
+    args.update(rule=rule, per_slot_phase=phase)
     return arr, [dict(args, batch_mean=mean) for mean in means]
 
 
@@ -303,8 +308,8 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     values. They pass the same checks and the resolved config records them;
     an overriding horizon_slots at or below the warmup runs without one.
     The resolved config, read back, gives the same config."""
-    doc = _section(doc, "top-level", _TOP_KEYS)
-    doc = {**doc, **_section(overrides, "top-level", _TOP_KEYS)}
+    doc = {**_section(doc, "top-level", (*_TOP, *_TOP_BY_HAND)), **overrides}
+    top = _read(doc, "top-level", _TOP, _TOP_BY_HAND)
     district_ref = doc.get("district", "builtin")
     if not isinstance(district_ref, str):
         raise ConfigError("district must be 'builtin' or the path of a district file")
@@ -312,35 +317,23 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
         district = builtin_district()
     else:
         district = district_from_dict(read_json(district_ref, ConfigError, "district file"))
+    district = replace(district, total_uavs=top.pop("total_uavs", district.total_uavs))
 
     d = district.num_pdcs
-    arrival, arrival_args = _parse_arrival(doc, d)
+    arrival, arrival_args = _parse_arrival(doc.get("arrival"), d)
 
     controller = doc.get("controller", "rl")
     if controller not in CONTROLLERS:
         raise ConfigError(f"unknown controller {reprlib.repr(controller)}")
 
-    reward_doc = _section(doc.get("reward", {}), "reward", ("lam", "violation_budget", "epoch_slots"))
-    reward = RewardParams(
-        lam=_number(reward_doc.get("lam", 4.0), "reward.lam"),
-        violation_budget=_number(
-            reward_doc.get("violation_budget", 0.1), "reward.violation_budget"
-        ),
-        epoch_slots=_number(reward_doc.get("epoch_slots", 60), "reward.epoch_slots", int, low=1),
-    )
-
-    bounds = _numbers(doc.get("queue_bounds"), "queue_bounds")
-    if len(bounds) != d:
+    if len(top["queue_bounds"]) != d:
         raise ConfigError("queue_bounds must list one bound per PDC")
-    if not all(b > 0 for b in bounds):
+    if not all(b > 0 for b in top["queue_bounds"]):
         raise ConfigError("queue bounds must be positive")
 
-    if doc.get("total_uavs") is not None:
-        district = replace(district, total_uavs=_number(doc["total_uavs"], "total_uavs", int))
-    if district.total_uavs < 1:
-        raise ConfigError("total_uavs must be >= 1")
-
-    train = _parse_train(_section(doc.get("train", {}), "train", (*_TRAIN_FIELDS, "hidden_sizes")))
+    train = _read(doc.get("train", {}), "train", _TRAIN)
+    if "hidden_sizes" in train:
+        train["hidden_sizes"] = tuple(train["hidden_sizes"])
 
     alloc = doc.get("initial_allocation", "static")
     if alloc == "static":
@@ -352,20 +345,15 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
         if sum(alloc) > district.total_uavs:
             raise ConfigError("initial_allocation out of range")
 
-    seeds = _numbers(doc.get("seeds", [1, 2, 3]), "seeds", int, low=0)
-    if not seeds:
+    if not top["seeds"]:
         raise ConfigError("seeds must be a nonempty list")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"seeds lists a seed more than once: {seeds}")
+    if len(set(top["seeds"])) < len(top["seeds"]):
+        raise ConfigError(f"seeds lists a seed more than once: {top['seeds']}")
 
-    horizon = _number(doc.get("horizon_slots", 100_000), "horizon_slots", int, low=1)
-    warmup = _number(doc.get("warmup_slots", 1_000), "warmup_slots", int, low=0)
-    if warmup >= horizon and "horizon_slots" in overrides:
-        warmup = doc["warmup_slots"] = 0
-    if warmup >= horizon:
+    if top["warmup_slots"] >= top["horizon_slots"] and "horizon_slots" in overrides:
+        top["warmup_slots"] = doc["warmup_slots"] = 0
+    if top["warmup_slots"] >= top["horizon_slots"]:
         raise ConfigError("need 0 <= warmup_slots < horizon_slots")
-
-    ql_mult = _number(doc.get("ql_update_multiple", 5), "ql_update_multiple", int, low=1)
 
     resolved = copy.deepcopy(doc)
     resolved.update(district=district_ref, total_uavs=district.total_uavs, initial_allocation=alloc)
@@ -374,16 +362,11 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
         arrival=arrival,
         arrival_args=arrival_args,
         controller=controller,
-        reward=reward,
-        queue_bounds=bounds,
-        delta=_number(doc.get("delta", 5), "delta", int, low=1),
-        train=train,
-        seeds=seeds,
-        horizon_slots=horizon,
-        warmup_slots=warmup,
-        ql_update_multiple=ql_mult,
+        reward=RewardParams(**_read(doc.get("reward", {}), "reward", _REWARD)),
+        train=TrainConfig(**train),
         initial_allocation=list(alloc),
         resolved=resolved,
+        **top,
     )
 
 

@@ -85,7 +85,7 @@ class QlController:
     """Re-apportions all assignable UAVs by queue length every
     `update_multiple` epochs, and sits still in between."""
 
-    def __init__(self, total_uavs: int, update_multiple: int = 5):
+    def __init__(self, total_uavs: int, update_multiple: int):
         if update_multiple < 1:
             raise ValueError("update multiple must be >= 1")
         self.total_uavs = total_uavs

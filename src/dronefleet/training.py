@@ -48,7 +48,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    episodes: int
+    episodes: int = 150
     max_steps_per_episode: int = 1000
     gamma: float = 0.99
     batch_size: int = 25

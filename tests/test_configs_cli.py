@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ ARRIVALS = {
     },
 }
 # what each bad value adds to a test id: the "x" cases keep their old ids
-BAD_NUMBERS = {"x": "", True: "=true", math.nan: "=NaN", math.inf: "=Infinity"}
+BAD_NUMBERS = {"x": "", True: "=true", math.nan: "=NaN", math.inf: "=Infinity", "1": "=string"}
 NUMERIC_FIELDS = [
     ("bernoulli", path)
     for path in [
@@ -222,11 +223,11 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, kind, path, value):
     assert "Traceback" not in err and not out.exists()
 
 
-# train settings that must be rejected: not a number (JSON true, NaN and
-# Infinity included), or out of range
+# train settings that must be rejected: not a number (JSON true, NaN,
+# Infinity and a numeric string included), or out of range
 BAD_TRAIN_VALUES = [
     (key, value)
-    for value in ("x", True, math.nan, math.inf)
+    for value in ("x", True, math.nan, math.inf, "1")
     for key in (
         "episodes",
         "max_steps_per_episode",
@@ -275,7 +276,7 @@ def test_bad_train_value_exits_2(tmp_path, capsys, key, value):
 
 def test_train_section_values_are_read_as_numbers():
     cfg = config_from_dict(
-        base_doc(train={"episodes": "3", "gamma": 1, "hidden_sizes": [16, "8"]})
+        base_doc(train={"episodes": 3.0, "gamma": 1, "hidden_sizes": [16, 8.0]})
     )
     assert (cfg.train.episodes, cfg.train.gamma, cfg.train.hidden_sizes) == (3, 1.0, (16, 8))
     assert cfg.train.batch_size == 25  # unset fields keep their defaults
@@ -436,6 +437,7 @@ DISTRICT_FAULTS = {
         "regions[0].subregions[1].weight",
     ),
     "fleet-true": (lambda doc: doc.update(total_uavs=True), "total_uavs"),
+    "speed-string": (lambda doc: doc.update(speed_kph="18"), "speed_kph"),
     "unknown-top-level-key": (lambda doc: doc.update(speed=18.0), "['speed']"),
     "regions-not-a-list": (lambda doc: doc.update(regions=5), "regions"),
     "subregions-not-a-list": (
@@ -447,8 +449,8 @@ DISTRICT_FAULTS = {
 
 @pytest.mark.parametrize("case", list(DISTRICT_FAULTS))
 def test_district_file_follows_the_config_rules(tmp_path, capsys, case):
-    # JSON true where a number belongs, or a key that no field reads, exits 2
-    # in a district file as it does in a config
+    # JSON true or a string where a number belongs, or a key that no field
+    # reads, exits 2 in a district file as it does in a config
     fault, field = DISTRICT_FAULTS[case]
     config = write_config(tmp_path, base_doc(district=_district_file(tmp_path, fault)))
     out = tmp_path / "out"
@@ -1043,3 +1045,13 @@ def test_resolved_config_loads_back_as_the_same_config(tmp_path, pattern, flags)
     again = cli._config(args, args.config, args.n_uavs)
     assert again.resolved == cfg.resolved
     assert again == cfg
+
+
+def test_readme_scenario_example_is_the_bundled_bernoulli():
+    # README's Scenario JSON example, read through the settings tables,
+    # resolves to what the bundled bernoulli scenario resolves to
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario JSON", 1)[1]
+    block = section.split("```\n", 2)[1]
+    doc = json.loads(re.sub(r"\s*//[^\n]*", "", block))
+    assert config_from_dict(doc).resolved == load_experiment_config("bernoulli").resolved
